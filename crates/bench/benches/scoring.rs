@@ -4,8 +4,7 @@
 //!   (`TreeEnsemble::predict`) vs the flattened struct-of-arrays block
 //!   kernels (`FlatEnsemble::predict`), across the model shapes the paper's
 //!   workloads use (single decision tree, random forest, gradient
-//!   boosting), plus the AVX2 SIMD tier vs the scalar cursor groups on the
-//!   shallow shape it is dispatched for;
+//!   boosting);
 //! * whole-pipeline kernels — the PR 4 per-operator compiled path
 //!   (interpreted featurizers + flat trees) vs the PR 5 fused
 //!   featurize→score pass, over tree *and* linear models, end to end from
@@ -17,8 +16,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use raven_columnar::Batch;
 use raven_ml::{
-    force_fusion, force_simd, CompiledPipeline, FlatEnsemble, Matrix, MlRuntime, ModelType,
-    Pipeline,
+    force_fusion, CompiledPipeline, FlatEnsemble, Matrix, MlRuntime, ModelType, Pipeline,
 };
 
 fn trained(rows: usize, model: ModelType, name: &'static str) -> (Pipeline, Batch) {
@@ -69,28 +67,6 @@ fn bench_scoring_kernels(c: &mut Criterion) {
             b.iter(|| flat.predict(&features).expect("flattened"))
         });
     }
-    // SIMD tier A/B on the shallow boosted shape the AVX2 walker is
-    // dispatched for (deeper trees stay on the scalar groups by design).
-    let (features, ensemble) = featurized(
-        rows,
-        ModelType::GradientBoosting {
-            n_estimators: 60,
-            max_depth: 4,
-            learning_rate: 0.15,
-        },
-        "GB-60xd4",
-    );
-    let flat = FlatEnsemble::compile(&ensemble).expect("compile");
-    group.bench_function("scalar-tier/GB-60xd4", |b| {
-        force_simd(Some(false));
-        b.iter(|| flat.predict(&features).expect("scalar"));
-        force_simd(None);
-    });
-    group.bench_function("simd-tier/GB-60xd4", |b| {
-        force_simd(Some(true));
-        b.iter(|| flat.predict(&features).expect("simd"));
-        force_simd(None);
-    });
     group.finish();
 }
 

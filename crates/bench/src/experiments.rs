@@ -8,10 +8,9 @@ use crate::workload::{
 };
 use raven_columnar::{partition_by_column, PartitionSpec};
 use raven_core::{
-    apply_cross_optimizations, estimate_mode_cost, evaluate_strategy, pipeline_to_sql,
-    stratified_folds, BaselineMode, ClassificationStrategy, ExecutionMode, PipelineStats,
-    RavenConfig, RegressionStrategy, RuleBasedStrategy, RuntimePolicy, StrategyCorpus,
-    StrategyObservation, TransformChoice,
+    apply_cross_optimizations, evaluate_strategy, pipeline_to_sql, stratified_folds, BaselineMode,
+    ClassificationStrategy, ExecutionMode, PipelineStats, RavenConfig, RegressionStrategy,
+    RuleBasedStrategy, RuntimePolicy, StrategyCorpus, StrategyObservation, TransformChoice,
 };
 use raven_datagen::{credit_card, expedia, flights, generate_suite, hospital, SuiteConfig};
 use raven_ir::UnifiedPlan;
@@ -120,13 +119,14 @@ pub fn table1_datasets(rows: usize) {
 // Fig. 6 — end-to-end comparison on Spark-like execution
 // ---------------------------------------------------------------------------
 
-/// Fig. 6: Raven vs SparkML-style vs UDF-style vs Raven(no-opt) across the
-/// four datasets and three models.
+/// Fig. 6: Raven vs SparkML-style vs Raven(no-opt) across the four datasets
+/// and three models. Raven(no-opt) is the vectorized, unoptimized UDF-style
+/// baseline.
 pub fn fig6_end_to_end(rows: usize, runs: usize) {
     println!("# Fig. 6 — prediction query runtime (ms), {rows} rows per dataset");
     println!(
-        "| {:<12} | {:<5} | {:>12} | {:>14} | {:>12} | {:>10} | {:>8} |",
-        "dataset", "model", "SparkML-like", "UDF (sklearn)", "Raven no-opt", "Raven", "speedup"
+        "| {:<12} | {:<5} | {:>12} | {:>12} | {:>10} | {:>8} |",
+        "dataset", "model", "SparkML-like", "Raven no-opt", "Raven", "speedup"
     );
     let datasets = [
         credit_card(rows, 1),
@@ -156,18 +156,17 @@ pub fn fig6_end_to_end(rows: usize, runs: usize) {
             };
             // Row-interpreted scoring is very slow; subsample the timing runs.
             let sparkml = trimmed_mean_time(&scenario.session, &scenario.query, 1.max(runs / 3));
-            // UDF-style (vectorized, no optimizations) == Raven (no-opt)
+            // Raven (no-opt): vectorized UDF-style scoring, no optimizations
             *scenario.session.config_mut() = no_opt_config();
             let no_opt = trimmed_mean_time(&scenario.session, &scenario.query, runs);
             // Raven with all optimizations and heuristic runtime selection
             *scenario.session.config_mut() = RavenConfig::default();
             let raven = trimmed_mean_time(&scenario.session, &scenario.query, runs);
             println!(
-                "| {:<12} | {:<5} | {:>12} | {:>14} | {:>12} | {:>10} | {:>7.1}x |",
+                "| {:<12} | {:<5} | {:>12} | {:>12} | {:>10} | {:>7.1}x |",
                 dataset.name,
                 short,
                 ms(sparkml),
-                ms(no_opt),
                 ms(no_opt),
                 ms(raven),
                 no_opt.as_secs_f64() / raven.as_secs_f64().max(1e-9),
@@ -489,16 +488,14 @@ pub fn fig11_data_induced(rows: usize, runs: usize) {
 /// Streaming partition-parallel execution vs. the legacy materialized plan on
 /// a partitioned Hospital workload: the `BatchStream` pipeline scores each
 /// partition as it arrives and prunes partitions via statistics, while the
-/// materialized baseline concatenates the full data side before scoring. Also
-/// prints what the optimizer's execution-mode cost model predicts, so the
-/// measured winner can be compared against the costed one.
+/// materialized baseline concatenates the full data side before scoring.
 pub fn streaming_study(rows: usize, partitions: usize, dop: usize, runs: usize) {
     println!(
         "# Streaming pipeline study — Hospital, {rows} rows, {partitions} range partitions, dop {dop} (ms)"
     );
     println!(
-        "| {:<22} | {:>12} | {:>10} | {:>13} | {:>12} | {:>8} |",
-        "predicate", "materialized", "streaming", "pruned parts", "cost favors", "speedup"
+        "| {:<22} | {:>12} | {:>10} | {:>13} | {:>8} |",
+        "predicate", "materialized", "streaming", "pruned parts", "speedup"
     );
     let dataset = hospital(rows, 2);
     let partitioned = partition_by_column(
@@ -540,32 +537,13 @@ pub fn streaming_study(rows: usize, partitions: usize, dop: usize, runs: usize) 
             .sql(&scenario.query)
             .expect("report run")
             .report;
-        // what the cost model would pick for this layout (selectivity from
-        // the observed pruning)
-        let selectivity = report.streamed_partitions as f64
-            / (report.streamed_partitions + report.pruned_partitions).max(1) as f64;
-        let stream_cost =
-            estimate_mode_cost(ExecutionMode::Streaming, rows, partitions, dop, selectivity);
-        let mat_cost = estimate_mode_cost(
-            ExecutionMode::Materialized,
-            rows,
-            partitions,
-            dop,
-            selectivity,
-        );
-        let favored = if stream_cost <= mat_cost {
-            "streaming"
-        } else {
-            "materialized"
-        };
         println!(
-            "| {:<22} | {:>12} | {:>10} | {:>6}/{:<6} | {:>12} | {:>7.1}x |",
+            "| {:<22} | {:>12} | {:>10} | {:>6}/{:<6} | {:>7.1}x |",
             label,
             ms(materialized),
             ms(streaming),
             report.pruned_partitions,
             partitions,
-            favored,
             materialized.as_secs_f64() / streaming.as_secs_f64().max(1e-9)
         );
     }
@@ -595,13 +573,6 @@ pub struct ServingStudyResult {
     /// Point-request throughput with `clients` concurrent clients
     /// (micro-batched).
     pub point_concurrent_qps: f64,
-    /// Concurrent SQL throughput with partition drives on the PR 1
-    /// scoped-thread driver (every drive point spawns and tears down its own
-    /// threads).
-    pub scoped_concurrent_qps: f64,
-    /// Concurrent SQL throughput with partition drives on the process-wide
-    /// work-stealing pool (the default driver).
-    pub pool_concurrent_qps: f64,
     /// Prepares performed when 8 clients cold-miss the same fingerprint
     /// simultaneously (single-flight ⇒ exactly 1).
     pub stampede_prepares: u64,
@@ -621,18 +592,6 @@ pub struct ServingStudyResult {
     pub fused_pipeline_rows_per_sec: f64,
     /// `fused / unfused` (the PR 5 acceptance target is ≥ 1.5×).
     pub fused_pipeline_speedup: f64,
-    /// SIMD-tier vs forced-scalar flat-walker throughput ratio on the
-    /// study's GB-60 ensemble (depth 6: the shape-aware dispatch keeps the
-    /// scalar groups, so this is the no-regression probe).
-    pub simd_study_speedup: f64,
-    /// Forced-scalar flat-walker throughput on the shallow (depth-4) GB
-    /// ensemble the AVX2 walker is dispatched for (rows/s).
-    pub scalar_shallow_rows_per_sec: f64,
-    /// SIMD-tier throughput on the same shallow ensemble (rows/s).
-    pub simd_shallow_rows_per_sec: f64,
-    /// `simd / scalar` on the shallow ensemble — where the AVX2 gathers
-    /// actually engage (≈ 1.0 on non-AVX2 hardware).
-    pub simd_shallow_speedup: f64,
     /// Intermediate batch materializations performed by the filtered
     /// streaming plan (selection-vector execution ⇒ 0: filters are zero-copy
     /// views, surviving rows are gathered once at the output boundary).
@@ -660,13 +619,6 @@ pub struct ScoringKernelAb {
     pub flattened_rows_per_sec: f64,
     /// `flattened / interpreted`.
     pub speedup: f64,
-    /// Flat walker with the SIMD tier forced off (scalar cursor groups).
-    pub scalar_tree_rows_per_sec: f64,
-    /// Flat walker with the AVX2 tier forced on (same code as scalar on
-    /// non-AVX2 hardware).
-    pub simd_tree_rows_per_sec: f64,
-    /// `simd / scalar` (the PR 5 no-regression gate).
-    pub simd_speedup: f64,
 }
 
 /// Best-of-rounds throughput measurement: run `f` repeatedly for `min_secs`
@@ -696,7 +648,7 @@ pub fn scoring_kernel_ab(
     batch: &raven_columnar::Batch,
     min_secs: f64,
 ) -> Option<ScoringKernelAb> {
-    use raven_ml::{force_simd, FlatEnsemble};
+    use raven_ml::FlatEnsemble;
     let (features, ensemble) = featurize_for_model(pipeline, batch)?;
     let flat = FlatEnsemble::compile(&ensemble).ok()?;
     // Tile small inputs to steady-state size so the A/B measures kernel
@@ -720,19 +672,6 @@ pub fn scoring_kernel_ab(
     let flattened_rows_per_sec = measure(&mut || {
         std::hint::black_box(flat.predict(&features).expect("flattened predict"));
     });
-    // SIMD tier A/B over the same flat walker: forced AVX2 dispatch vs the
-    // forced scalar cursor groups (identical on non-AVX2 hardware). Three
-    // rounds each — this backs a "never a regression" assert, so single-run
-    // noise must not decide it.
-    force_simd(Some(false));
-    let scalar_tree_rows_per_sec = measure_rows_per_sec(rows, min_secs, 3, &mut || {
-        std::hint::black_box(flat.predict(&features).expect("scalar predict"));
-    });
-    force_simd(Some(true));
-    let simd_tree_rows_per_sec = measure_rows_per_sec(rows, min_secs, 3, &mut || {
-        std::hint::black_box(flat.predict(&features).expect("simd predict"));
-    });
-    force_simd(None);
     Some(ScoringKernelAb {
         rows,
         trees: ensemble.n_trees(),
@@ -740,9 +679,6 @@ pub fn scoring_kernel_ab(
         interpreted_rows_per_sec,
         flattened_rows_per_sec,
         speedup: flattened_rows_per_sec / interpreted_rows_per_sec.max(1e-9),
-        scalar_tree_rows_per_sec,
-        simd_tree_rows_per_sec,
-        simd_speedup: simd_tree_rows_per_sec / scalar_tree_rows_per_sec.max(1e-9),
     })
 }
 
@@ -816,13 +752,6 @@ pub const STREAMING_MATERIALIZATIONS_GATE: usize = 0;
 /// beat the PR 4 per-operator compiled path by this factor.
 pub const FUSED_PIPELINE_SPEEDUP_GATE: f64 = 1.5;
 
-/// Smoke gate for the SIMD tree tier: with the shape-aware dispatch, SIMD
-/// scoring must never regress the scalar flat walker. Ratios on identical
-/// code paths (deep trees, non-AVX2 hardware) measure ≈ 1.0; this small
-/// tolerance absorbs single-core timer/frequency noise, not a real
-/// regression.
-pub const SIMD_NO_REGRESSION_GATE: f64 = 0.95;
-
 /// Prediction serving study: repeated-query throughput of per-request
 /// optimization vs. prepared+cached execution, and sequential vs. concurrent
 /// micro-batched point serving. The workload is the Hospital dataset with a
@@ -887,10 +816,8 @@ fn serving_study_impl(
     *scenario.session.config_mut() = RavenConfig {
         runtime_policy: RuntimePolicy::NoTransform,
         enable_partition_models: true,
-        // dop > 1 so every request exercises the partition-parallel drive —
-        // under the scoped-thread baseline each request then spawns and tears
-        // down threads at every drive point, which is exactly the overhead
-        // the shared work-stealing pool removes
+        // dop > 1 so every request exercises the partition-parallel drive on
+        // the shared work-stealing pool
         degree_of_parallelism: 4,
         ..Default::default()
     };
@@ -1010,44 +937,7 @@ fn serving_study_impl(
         server.sql(&variant).expect("variant request");
     }
 
-    // 6. partition-drive A/B at `clients` concurrent clients: the PR 1
-    //    scoped-thread driver (every BatchStream::collect spawns and joins
-    //    its own dop threads, so N clients oversubscribe with N×DOP transient
-    //    threads) vs. the shared work-stealing pool (one fixed worker set,
-    //    partition tasks interleave). Same server, same warmed plan cache.
-    let concurrent_run = |server: &Arc<Server>| {
-        let t = Instant::now();
-        let handles: Vec<_> = (0..clients)
-            .map(|_| {
-                let server = server.clone();
-                let query = query.clone();
-                std::thread::spawn(move || {
-                    for _ in 0..per_client {
-                        server.sql(&query).expect("concurrent request");
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("client thread");
-        }
-        (per_client * clients) as f64 / t.elapsed().as_secs_f64()
-    };
-    let measure = |scoped: bool| {
-        raven_columnar::pool::force_scoped(scoped);
-        let qps = concurrent_run(&server);
-        raven_columnar::pool::force_scoped(false);
-        qps
-    };
-    // one unmeasured warmup round per driver (allocator/page-cache/pool
-    // threads), then best-of-2 each, so run-to-run noise and first-run bias
-    // don't decide the comparison
-    measure(true);
-    measure(false);
-    let scoped_concurrent_qps = measure(true).max(measure(true));
-    let pool_concurrent_qps = measure(false).max(measure(false));
-
-    // 7. cold-miss stampede: 8 clients hit a brand-new fingerprint on a
+    // 6. cold-miss stampede: 8 clients hit a brand-new fingerprint on a
     //    fresh server at the same instant; single-flight prepare must
     //    collapse the 8 concurrent cold misses into exactly one prepare
     //    (here: cross-optimization + compiling one model per partition)
@@ -1081,7 +971,7 @@ fn serving_study_impl(
     let stampede_report = stampede_server.report();
     let stampede_prepares = stampede_report.plan_cache_misses;
 
-    // 8. scoring-kernel A/B: interpreted row walker vs flattened SoA block
+    // 7. scoring-kernel A/B: interpreted row walker vs flattened SoA block
     //    kernels, single core, over the study's trained GB ensemble and its
     //    featurized rows (the PR 4 tentpole measurement)
     let model_name = session
@@ -1093,29 +983,14 @@ fn serving_study_impl(
     let model_pipeline = session.registry().get(&model_name).expect("study model");
     let ab = scoring_kernel_ab(&model_pipeline, &base, 0.25).expect("tree-model scoring A/B");
 
-    // 8b. fused-pipeline A/B: the whole featurize→score pass (one-hot +
+    // 7b. fused-pipeline A/B: the whole featurize→score pass (one-hot +
     //     scaler folded into the feature-lane transpose, trees fed lanes in
     //     place) vs the PR 4 per-operator compiled path, end to end over the
     //     same prepared pipeline and source batch (the PR 5 tentpole
     //     measurement)
     let fab = fused_pipeline_ab(&model_pipeline, &base, 0.25).expect("study pipeline fuses");
 
-    // 8c. SIMD-tier A/B on a shallow (depth-4) GB ensemble — the shape the
-    //     AVX2 walker is dispatched for (the study's depth-6 trees stay on
-    //     the scalar groups by design; `ab` above pins that no-regression)
-    let shallow_pipeline = crate::workload::train_dataset_pipeline(
-        &dataset,
-        raven_ml::ModelType::GradientBoosting {
-            n_estimators: 60,
-            max_depth: 4,
-            learning_rate: 0.15,
-        },
-        "GB4",
-    );
-    let shallow_ab =
-        scoring_kernel_ab(&shallow_pipeline, &base, 0.25).expect("shallow scoring A/B");
-
-    // 9. the filtered streaming plan must perform zero intermediate batch
+    // 8. the filtered streaming plan must perform zero intermediate batch
     //    materializations: filters are selection-vector views and surviving
     //    rows are gathered exactly once, at the output boundary
     let streaming_materializations = session
@@ -1133,8 +1008,6 @@ fn serving_study_impl(
         && !cfg!(debug_assertions)
         && ab.speedup >= SCORING_SPEEDUP_GATE
         && fab.speedup >= FUSED_PIPELINE_SPEEDUP_GATE
-        && ab.simd_speedup >= SIMD_NO_REGRESSION_GATE
-        && shallow_ab.simd_speedup >= SIMD_NO_REGRESSION_GATE
         && streaming_materializations == STREAMING_MATERIALIZATIONS_GATE;
     if artifact_valid {
         let unix_time = std::time::SystemTime::now()
@@ -1147,8 +1020,6 @@ fn serving_study_impl(
              \"interpreted_rows_per_sec\": {:.0},\n  \"flattened_rows_per_sec\": {:.0},\n  \
              \"speedup\": {:.2},\n  \"unfused_pipeline_rows_per_sec\": {:.0},\n  \
              \"fused_pipeline_rows_per_sec\": {:.0},\n  \"fused_pipeline_speedup\": {:.2},\n  \
-             \"simd_study_speedup\": {:.2},\n  \"scalar_shallow_rows_per_sec\": {:.0},\n  \
-             \"simd_shallow_rows_per_sec\": {:.0},\n  \"simd_shallow_speedup\": {:.2},\n  \
              \"streaming_intermediate_materializations\": {},\n  \
              \"unix_time\": {unix_time}\n}}\n",
             ab.rows,
@@ -1160,10 +1031,6 @@ fn serving_study_impl(
             fab.unfused_rows_per_sec,
             fab.fused_rows_per_sec,
             fab.speedup,
-            ab.simd_speedup,
-            shallow_ab.scalar_tree_rows_per_sec,
-            shallow_ab.simd_tree_rows_per_sec,
-            shallow_ab.simd_speedup,
             streaming_materializations,
         );
         // anchored at the workspace root so binaries and tests agree on one path
@@ -1173,8 +1040,7 @@ fn serving_study_impl(
         }
     } else if write_artifact {
         eprintln!(
-            "skipping BENCH_scoring.json: {} (scoring {:.2}x, fused {:.2}x, simd {:.2}x/{:.2}x, \
-             materializations {})",
+            "skipping BENCH_scoring.json: {} (scoring {:.2}x, fused {:.2}x, materializations {})",
             if cfg!(debug_assertions) {
                 "unoptimized (debug) build"
             } else {
@@ -1182,8 +1048,6 @@ fn serving_study_impl(
             },
             ab.speedup,
             fab.speedup,
-            ab.simd_speedup,
-            shallow_ab.simd_speedup,
             streaming_materializations,
         );
     }
@@ -1204,14 +1068,6 @@ fn serving_study_impl(
             &format!("server, {clients} clients, points (batched)")[..],
             point_concurrent_qps,
         ),
-        (
-            &format!("server, {clients} clients, scoped threads")[..],
-            scoped_concurrent_qps,
-        ),
-        (
-            &format!("server, {clients} clients, shared pool")[..],
-            pool_concurrent_qps,
-        ),
     ] {
         println!("| {label:<38} | {qps:>10.0} |");
     }
@@ -1219,10 +1075,6 @@ fn serving_study_impl(
     println!(
         "micro-batching gain: {:.2}x",
         point_concurrent_qps / point_single_qps.max(1e-9)
-    );
-    println!(
-        "pool/scoped concurrent gain: {:.2}x",
-        pool_concurrent_qps / scoped_concurrent_qps.max(1e-9)
     );
     println!(
         "cold-miss stampede: {stampede_clients} clients, {stampede_prepares} prepare(s), \
@@ -1245,14 +1097,6 @@ fn serving_study_impl(
         fab.rows, fab.unfused_rows_per_sec, fab.fused_rows_per_sec, fab.speedup
     );
     println!(
-        "SIMD tree tier: study GB-60/d6 {:.2}x (scalar dispatch by shape), \
-         shallow GB-60/d4 scalar {:>9.0} vs simd {:>9.0} rows/s — {:.2}x",
-        ab.simd_speedup,
-        shallow_ab.scalar_tree_rows_per_sec,
-        shallow_ab.simd_tree_rows_per_sec,
-        shallow_ab.simd_speedup
-    );
-    println!(
         "filtered streaming plan intermediate materializations: \
          {streaming_materializations}"
     );
@@ -1266,8 +1110,6 @@ fn serving_study_impl(
         concurrent_qps,
         point_single_qps,
         point_concurrent_qps,
-        scoped_concurrent_qps,
-        pool_concurrent_qps,
         stampede_prepares,
         interpreted_score_rows_per_sec: ab.interpreted_rows_per_sec,
         flattened_score_rows_per_sec: ab.flattened_rows_per_sec,
@@ -1275,10 +1117,6 @@ fn serving_study_impl(
         unfused_pipeline_rows_per_sec: fab.unfused_rows_per_sec,
         fused_pipeline_rows_per_sec: fab.fused_rows_per_sec,
         fused_pipeline_speedup: fab.speedup,
-        simd_study_speedup: ab.simd_speedup,
-        scalar_shallow_rows_per_sec: shallow_ab.scalar_tree_rows_per_sec,
-        simd_shallow_rows_per_sec: shallow_ab.simd_tree_rows_per_sec,
-        simd_shallow_speedup: shallow_ab.simd_speedup,
         streaming_materializations,
         report,
     }
@@ -3047,44 +2885,6 @@ mod tests {
 
     #[test]
     #[ignore = "manual perf probe"]
-    fn perf_probe_trained_simd() {
-        use raven_ml::{force_simd, FlatEnsemble};
-        let dataset = hospital(4_000, 11);
-        for depth in [3usize, 4, 6] {
-            let pipeline = crate::workload::train_dataset_pipeline(
-                &dataset,
-                ModelType::GradientBoosting {
-                    n_estimators: 60,
-                    max_depth: depth,
-                    learning_rate: 0.15,
-                },
-                "GB",
-            );
-            let batch = dataset.tables[0].to_batch().unwrap();
-            let (features, ensemble) = featurize_for_model(&pipeline, &batch).unwrap();
-            let flat = FlatEnsemble::compile(&ensemble).unwrap();
-            let rows = features.rows();
-            let mut rates = [0.0f64; 2];
-            for (k, simd) in [false, true].into_iter().enumerate() {
-                force_simd(Some(simd));
-                rates[k] = measure_rows_per_sec(rows, 0.3, 3, &mut || {
-                    std::hint::black_box(flat.predict(&features).unwrap());
-                });
-            }
-            force_simd(None);
-            println!(
-                "trained GB-60 depth {depth} (mean {:.1}, feats {}): scalar {:.2}M simd {:.2}M ({:.2}x)",
-                ensemble.mean_depth(),
-                features.cols(),
-                rates[0] / 1e6,
-                rates[1] / 1e6,
-                rates[1] / rates[0]
-            );
-        }
-    }
-
-    #[test]
-    #[ignore = "manual perf probe"]
     fn perf_probe_fused_pipeline() {
         let dataset = hospital(4_000, 11);
         let pipeline = crate::workload::train_dataset_pipeline(
@@ -3104,13 +2904,8 @@ mod tests {
         );
         let kab = scoring_kernel_ab(&pipeline, &batch, 0.3).expect("tree A/B");
         println!(
-            "tree kernels: interpreted {:.0}, flattened {:.0} ({:.2}x), scalar {:.0}, simd {:.0} ({:.2}x)",
-            kab.interpreted_rows_per_sec,
-            kab.flattened_rows_per_sec,
-            kab.speedup,
-            kab.scalar_tree_rows_per_sec,
-            kab.simd_tree_rows_per_sec,
-            kab.simd_speedup
+            "tree kernels: interpreted {:.0}, flattened {:.0} ({:.2}x)",
+            kab.interpreted_rows_per_sec, kab.flattened_rows_per_sec, kab.speedup
         );
     }
 

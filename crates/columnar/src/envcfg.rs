@@ -18,7 +18,7 @@
 //!
 //! All of these are **pins for parity baselines** (see ROADMAP "Invariants
 //! to preserve"); the corresponding programmatic overrides
-//! (`force_scoped`, `force_scorer`, `force_simd`, `force_verify`, ...)
+//! (`force_scorer`, `force_fusion`, `force_verify`, ...)
 //! remain the dynamic switches for benches and tests.
 
 use std::sync::OnceLock;
@@ -52,20 +52,6 @@ pub fn scorer_interpreted() -> bool {
     *PIN.get_or_init(|| env_is("RAVEN_SCORER", "interpreted"))
 }
 
-/// `RAVEN_SIMD=off` pins the portable scalar tree walker instead of the
-/// AVX2 tier. Read once per process.
-pub fn simd_off() -> bool {
-    static PIN: OnceLock<bool> = OnceLock::new();
-    *PIN.get_or_init(|| env_is("RAVEN_SIMD", "off"))
-}
-
-/// `RAVEN_POOL=scoped` pins the legacy scoped-thread drive baseline instead
-/// of the shared work-stealing pool. Read once per process.
-pub fn pool_scoped() -> bool {
-    static PIN: OnceLock<bool> = OnceLock::new();
-    *PIN.get_or_init(|| env_is("RAVEN_POOL", "scoped"))
-}
-
 /// `RAVEN_POOL_WORKERS=n` sizes the process-wide worker pool (positive
 /// integer; anything else falls back to the machine's available
 /// parallelism). Read once per process.
@@ -87,27 +73,6 @@ pub fn pool_workers() -> Option<usize> {
 pub fn fusion_off() -> bool {
     static PIN: OnceLock<bool> = OnceLock::new();
     *PIN.get_or_init(|| env_is("RAVEN_FUSION", "off"))
-}
-
-/// `RAVEN_CACHE_POLICY=lru` pins the plain recency-only cache eviction
-/// baseline instead of TinyLFU-style frequency-aware admission. Read once
-/// per process; `LruCache::with_policy` is the programmatic override.
-pub fn cache_policy_lru() -> bool {
-    static PIN: OnceLock<bool> = OnceLock::new();
-    *PIN.get_or_init(|| env_is("RAVEN_CACHE_POLICY", "lru"))
-}
-
-/// `RAVEN_MODE_COST=legacy` (or `off` / `0`) pins the pre-cost-model
-/// execution-mode heuristic that only looks at the first referenced table.
-/// Read once per process.
-pub fn mode_cost_legacy() -> bool {
-    static PIN: OnceLock<bool> = OnceLock::new();
-    *PIN.get_or_init(|| {
-        matches!(
-            std::env::var("RAVEN_MODE_COST").as_deref(),
-            Ok("legacy") | Ok("off") | Ok("0")
-        )
-    })
 }
 
 /// `RAVEN_VERIFY=strict` turns on rule-by-rule plan verification and
@@ -188,20 +153,8 @@ mod tests {
             std::env::var("RAVEN_SCORER").map(|v| v == "interpreted") == Ok(true)
         );
         assert_eq!(
-            simd_off(),
-            std::env::var("RAVEN_SIMD").map(|v| v == "off") == Ok(true)
-        );
-        assert_eq!(
-            pool_scoped(),
-            std::env::var("RAVEN_POOL").map(|v| v == "scoped") == Ok(true)
-        );
-        assert_eq!(
             fusion_off(),
             std::env::var("RAVEN_FUSION").map(|v| v == "off") == Ok(true)
-        );
-        assert_eq!(
-            cache_policy_lru(),
-            std::env::var("RAVEN_CACHE_POLICY").map(|v| v == "lru") == Ok(true)
         );
         assert_eq!(
             verify_strict(),

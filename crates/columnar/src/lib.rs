@@ -32,7 +32,7 @@ pub mod value;
 pub use column::{Column, ColumnRef};
 pub use error::{ColumnarError, Result};
 pub use partition::{partition_by_column, partition_ranges, partition_sizes, PartitionSpec};
-pub use pool::{parallel_map, parallel_map_scoped, WorkerPool};
+pub use pool::{parallel_map, WorkerPool};
 pub use schema::{Field, Schema, SchemaRef};
 pub use selection::{SelectionIter, SelectionVector};
 pub use stats::{ColumnStatistics, InducedDomain, TableStatistics};

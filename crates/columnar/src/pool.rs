@@ -54,10 +54,6 @@
 //! its own job is done. Pool workers never park (a nested drive from a pool
 //! worker falls back to the participating protocol via a second
 //! thread-local), so parked submitters always make progress.
-//!
-//! The previous scoped-thread driver survives as [`parallel_map_scoped`] —
-//! it is the measured baseline of `serving_study` and can be forced
-//! process-wide with [`force_scoped`] or `RAVEN_POOL=scoped`.
 
 use crate::error::{ColumnarError, Result};
 use std::collections::VecDeque;
@@ -169,9 +165,8 @@ thread_local! {
 /// Run `f` with parked drives enabled on this thread: every
 /// [`parallel_map`] in the scope submits its per-partition items to the
 /// shared pool and parks on a completion latch instead of executing items
-/// (or other jobs' tasks) itself. No-op on pool worker threads and under
-/// the scoped baseline. Restores the previous routing on exit, so scopes
-/// nest.
+/// (or other jobs' tasks) itself. No-op on pool worker threads. Restores
+/// the previous routing on exit, so scopes nest.
 pub fn with_parked_drive<R>(f: impl FnOnce() -> R) -> R {
     if IS_POOL_WORKER.with(|w| w.get()) {
         return f();
@@ -188,10 +183,9 @@ pub fn with_parked_drive<R>(f: impl FnOnce() -> R) -> R {
 }
 
 /// `true` when the current thread would route [`parallel_map`] through the
-/// parked-latch driver (inside [`with_parked_drive`], not a pool worker,
-/// scoped baseline not forced).
+/// parked-latch driver (inside [`with_parked_drive`], not a pool worker).
 pub fn parked_drive_active() -> bool {
-    !scoped_forced() && PARKED_DRIVE.with(|p| p.get()) && !IS_POOL_WORKER.with(|w| w.get())
+    PARKED_DRIVE.with(|p| p.get()) && !IS_POOL_WORKER.with(|w| w.get())
 }
 
 fn worker_loop(shared: std::sync::Arc<PoolShared>, me: usize) {
@@ -580,27 +574,6 @@ where
 // public drivers
 // ---------------------------------------------------------------------------
 
-static FORCE_SCOPED: AtomicBool = AtomicBool::new(false);
-static FORCE_SCOPED_INIT: OnceLock<()> = OnceLock::new();
-
-fn scoped_forced() -> bool {
-    FORCE_SCOPED_INIT.get_or_init(|| {
-        if crate::envcfg::pool_scoped() {
-            FORCE_SCOPED.store(true, Ordering::Relaxed);
-        }
-    });
-    FORCE_SCOPED.load(Ordering::Relaxed)
-}
-
-/// Route every [`parallel_map`] through the legacy scoped-thread driver
-/// (`true`) or the shared pool (`false`, the default). Process-global; used
-/// by `serving_study` to A/B the two drivers and settable at startup with
-/// `RAVEN_POOL=scoped`.
-pub fn force_scoped(scoped: bool) {
-    let _ = FORCE_SCOPED_INIT.set(());
-    FORCE_SCOPED.store(scoped, Ordering::Relaxed);
-}
-
 /// Apply `f` to every item with up to `dop` concurrent executors, preserving
 /// input order in the output. This is the single drive primitive shared by
 /// every execution layer (relational operators, ML scoring, the session, the
@@ -613,69 +586,10 @@ where
     U: Send,
     F: Fn(T) -> Result<U> + Send + Sync,
 {
-    if scoped_forced() {
-        return parallel_map_scoped(items, dop, f);
-    }
     if parked_drive_active() {
         return WorkerPool::global().map_parked(items, dop, f);
     }
     WorkerPool::global().map(items, dop, f)
-}
-
-/// The PR 1 driver: a dependency-free scoped-thread pool spawned (and torn
-/// down) per call. Kept as the measured baseline the shared pool is compared
-/// against in `serving_study`; shares the abort-on-first-error contract of
-/// [`parallel_map`].
-pub fn parallel_map_scoped<T, U, F>(items: Vec<T>, dop: usize, f: F) -> Result<Vec<U>>
-where
-    T: Send,
-    U: Send,
-    F: Fn(T) -> Result<U> + Send + Sync,
-{
-    let dop = dop.max(1);
-    if dop == 1 || items.len() <= 1 {
-        return items.into_iter().map(f).collect();
-    }
-    let n = items.len();
-    let queue: Mutex<Vec<(usize, T)>> = Mutex::new(items.into_iter().enumerate().rev().collect());
-    let results: Vec<Mutex<Option<Result<U>>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let abort = AtomicBool::new(false);
-    std::thread::scope(|scope| {
-        for _ in 0..dop.min(n) {
-            scope.spawn(|| loop {
-                if abort.load(Ordering::Acquire) {
-                    break;
-                }
-                let next = queue.lock().expect("work queue poisoned").pop();
-                match next {
-                    Some((idx, item)) => {
-                        let out = f(item);
-                        if out.is_err() {
-                            abort.store(true, Ordering::Release);
-                        }
-                        *results[idx].lock().expect("result slot poisoned") = Some(out);
-                    }
-                    None => break,
-                }
-            });
-        }
-    });
-    let mut outputs = Vec::with_capacity(n);
-    for slot in results {
-        match slot.into_inner().expect("result slot poisoned") {
-            Some(Ok(u)) => outputs.push(u),
-            Some(Err(e)) => return Err(e),
-            // only items cancelled by an abort have empty slots, and items
-            // are popped in index order, so the recorded error is always
-            // encountered (and returned) before the first empty slot
-            None => continue,
-        }
-    }
-    debug_assert!(
-        !abort.load(Ordering::Acquire),
-        "scoped job aborted without a recorded error"
-    );
-    Ok(outputs)
 }
 
 #[cfg(test)]
@@ -724,24 +638,6 @@ mod tests {
         let invocations = AtomicUsize::new(0);
         let items: Vec<usize> = (0..64).collect();
         let err = pool.map(items, 4, |x| {
-            invocations.fetch_add(1, Ordering::SeqCst);
-            if x == 0 {
-                Err(ColumnarError::InvalidArgument("boom".into()))
-            } else {
-                std::thread::sleep(Duration::from_millis(2));
-                Ok(x)
-            }
-        });
-        assert!(err.is_err());
-        let ran = invocations.load(Ordering::SeqCst);
-        assert!(ran < 64, "abort should cancel outstanding items, ran {ran}");
-    }
-
-    #[test]
-    fn scoped_driver_also_aborts() {
-        let invocations = AtomicUsize::new(0);
-        let items: Vec<usize> = (0..64).collect();
-        let err = parallel_map_scoped(items, 4, |x| {
             invocations.fetch_add(1, Ordering::SeqCst);
             if x == 0 {
                 Err(ColumnarError::InvalidArgument("boom".into()))
@@ -834,8 +730,7 @@ mod tests {
             with_parked_drive(|| assert_eq!(parked_drive_active(), active));
             active
         });
-        // active unless the scoped baseline is pinned for this process
-        assert_eq!(inner, !scoped_forced());
+        assert!(inner);
         assert!(!parked_drive_active());
         // results are identical either way
         let out = with_parked_drive(|| {

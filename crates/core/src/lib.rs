@@ -41,8 +41,7 @@ pub use session::{
 };
 pub use stats::PipelineStats;
 pub use strategy::{
-    choose_execution_mode, choose_execution_mode_from_estimates, cost_based_mode_default,
-    estimate_mode_cost, estimate_mode_cost_from_estimates, evaluate_strategy, stratified_folds,
-    ClassificationStrategy, ExecutionMode, OptimizationStrategy, RegressionStrategy,
-    RuleBasedStrategy, StrategyCorpus, StrategyObservation, TransformChoice,
+    evaluate_strategy, stratified_folds, ClassificationStrategy, ExecutionMode,
+    OptimizationStrategy, RegressionStrategy, RuleBasedStrategy, StrategyCorpus,
+    StrategyObservation, TransformChoice,
 };

@@ -12,10 +12,7 @@ use crate::error::{RavenError, Result};
 use crate::mltodnn::apply_ml_to_dnn;
 use crate::mltosql::pipeline_to_sql;
 use crate::stats::PipelineStats;
-use crate::strategy::{
-    choose_execution_mode, choose_execution_mode_from_estimates, cost_based_mode_default,
-    ExecutionMode, OptimizationStrategy, TransformChoice,
-};
+use crate::strategy::{ExecutionMode, OptimizationStrategy, TransformChoice};
 use raven_columnar::{
     Batch, BatchStream, Column, ColumnarError, DataType, Field, StreamBatch, Table,
 };
@@ -23,7 +20,7 @@ use raven_ir::{parse_prediction_query, ModelRegistry, UnifiedPlan};
 use raven_ml::{bind_batch, CompiledPipeline, MlRuntime, Pipeline, RuntimeConfig};
 use raven_relational::{
     col, evaluate, evaluate_predicate, may_satisfy_all, selection_vectors_default, Catalog,
-    CostModel, ExecutionContext, Executor, Expr, LogicalPlan, Optimizer,
+    ExecutionContext, Executor, Expr, LogicalPlan, Optimizer,
 };
 use raven_storage::DurableStore;
 use raven_tensor::{Device, Strategy};
@@ -78,8 +75,7 @@ pub struct RavenConfig {
     /// Logical-to-physical policy (§5).
     pub runtime_policy: RuntimePolicy,
     /// How the data side is driven through ML scoring: the streaming
-    /// partition-parallel pipeline, the legacy materialized pipeline, or a
-    /// cost-based choice between them.
+    /// partition-parallel pipeline or the legacy materialized pipeline.
     pub execution_mode: ExecutionMode,
     /// Degree of parallelism of the data engine: how many executors of the
     /// process-wide work-stealing pool (`raven_columnar::pool`) one query's
@@ -101,13 +97,6 @@ pub struct RavenConfig {
     /// parity baseline. Harnesses toggle this field for in-process A/B runs
     /// (the env knob is read once per process).
     pub cost_based_joins: bool,
-    /// Cost-based execution-mode selection for `ExecutionMode::Auto`: feed
-    /// the join cost model's intermediate-size estimate into the streamed-vs-
-    /// materialized decision instead of assuming the first referenced table's
-    /// scan cardinality flows through scoring. Defaults to on;
-    /// `RAVEN_MODE_COST=legacy` pins the old single-table heuristic
-    /// process-wide as the A/B baseline.
-    pub cost_based_mode: bool,
 }
 
 impl Default for RavenConfig {
@@ -125,7 +114,6 @@ impl Default for RavenConfig {
             dnn_strategy: Strategy::Gemm,
             baseline: BaselineMode::Vectorized,
             cost_based_joins: raven_relational::cost_based_joins_default(),
-            cost_based_mode: cost_based_mode_default(),
         }
     }
 }
@@ -897,62 +885,6 @@ impl RavenSession {
         }
     }
 
-    /// Resolve the configured [`ExecutionMode`] for a plan: `Auto` costs the
-    /// streamed vs. materialized pipeline using the scanned tables' partition
-    /// layout, how many partitions the input predicates can prune, and (when
-    /// `cost_based_mode` is on) the join cost model's estimate of how many
-    /// rows actually survive to scoring.
-    fn resolve_execution_mode(&self, plan: &UnifiedPlan) -> ExecutionMode {
-        match self.config.execution_mode {
-            ExecutionMode::Streaming => ExecutionMode::Streaming,
-            ExecutionMode::Materialized => ExecutionMode::Materialized,
-            ExecutionMode::Auto => {
-                let tables = plan.data.referenced_tables();
-                let Some(table) = tables.first().and_then(|t| self.catalog.table(t).ok()) else {
-                    return ExecutionMode::Streaming;
-                };
-                let partitions = table.partitions().len();
-                let input_preds: Vec<Expr> = plan.input_predicates().into_iter().cloned().collect();
-                let surviving = table
-                    .partition_statistics()
-                    .iter()
-                    .filter(|stats| may_satisfy_all(&input_preds, stats))
-                    .count();
-                let selectivity = surviving as f64 / partitions.max(1) as f64;
-                if self.config.cost_based_mode {
-                    // total rows the plan reads across every referenced table,
-                    // vs. the cost model's estimate of rows surviving joins
-                    // and filters (the rows that are concatenated and scored).
-                    let scanned_rows: usize = tables
-                        .iter()
-                        .filter_map(|t| self.catalog.table(t).ok())
-                        .map(|t| t.num_rows())
-                        .sum();
-                    let estimated_out = CostModel::new(&self.catalog)
-                        .estimate_rows(&self.data_side_plan(plan))
-                        .max(0.0)
-                        .round() as usize;
-                    choose_execution_mode_from_estimates(
-                        scanned_rows,
-                        estimated_out,
-                        partitions,
-                        self.config.degree_of_parallelism,
-                        selectivity,
-                    )
-                } else {
-                    // legacy heuristic: first referenced table only, and every
-                    // scanned row is assumed to reach scoring.
-                    choose_execution_mode(
-                        table.num_rows(),
-                        partitions,
-                        self.config.degree_of_parallelism,
-                        selectivity,
-                    )
-                }
-            }
-        }
-    }
-
     /// The relational plan computing the model's input data: the query's data
     /// part with input-side predicates applied and projected to the columns
     /// the (optimized) pipeline and the rest of the query still need.
@@ -1022,15 +954,12 @@ impl RavenSession {
     }
 
     /// Execution mode for the fully-relational transform paths (MLtoSQL and
-    /// the data side of MLtoDNN): an explicitly materialized configuration
-    /// keeps the legacy no-pruning scan, everything else (including `Auto` —
-    /// there is no concat-before-scoring tradeoff to cost on these paths)
-    /// uses the streaming engine with statistics pruning.
+    /// the data side of MLtoDNN): a materialized configuration keeps the
+    /// legacy no-pruning scan, streaming uses the streaming engine with
+    /// statistics pruning.
     fn transform_path_mode(&self) -> (ExecutionMode, bool) {
-        match self.config.execution_mode {
-            ExecutionMode::Materialized => (ExecutionMode::Materialized, false),
-            _ => (ExecutionMode::Streaming, true),
-        }
+        let mode = self.config.execution_mode;
+        (mode, mode == ExecutionMode::Streaming)
     }
 
     /// MLtoSQL lowering: the entire query (featurization, model, predicates,
@@ -1183,7 +1112,7 @@ impl RavenSession {
     /// run the data part on the data engine, score with the ML runtime, then
     /// apply output predicates / projection / aggregation — either as one
     /// streaming partition-parallel pipeline or via the legacy materialized
-    /// plan, per the (resolved) [`ExecutionMode`].
+    /// plan, per the configured [`ExecutionMode`].
     fn run_ml_runtime(&self, plan: &UnifiedPlan, lowered: &MlRuntimePlan) -> Result<PathOutcome> {
         // The row-interpreted / materializing baselines model systems that
         // materialize the data side before scoring; only the vectorized
@@ -1191,11 +1120,11 @@ impl RavenSession {
         let mode = if self.config.baseline != BaselineMode::Vectorized {
             ExecutionMode::Materialized
         } else {
-            self.resolve_execution_mode(plan)
+            self.config.execution_mode
         };
         match mode {
             ExecutionMode::Materialized => self.run_ml_runtime_materialized(plan, lowered),
-            _ => self.run_ml_runtime_streaming(plan, lowered),
+            ExecutionMode::Streaming => self.run_ml_runtime_streaming(plan, lowered),
         }
     }
 
@@ -1852,27 +1781,6 @@ mod tests {
         session.config_mut().execution_mode = ExecutionMode::Materialized;
         let materialized = session.sql(query).unwrap();
         assert_eq!(ids(&streamed.batch), ids(&materialized.batch));
-    }
-
-    #[test]
-    fn auto_mode_costs_streaming_vs_materialized() {
-        let (mut session, query) = session(ModelType::DecisionTree { max_depth: 4 });
-        session.config_mut().runtime_policy = RuntimePolicy::NoTransform;
-        session.config_mut().execution_mode = ExecutionMode::Auto;
-        // 400 rows in a single partition: the cost model picks materialized
-        let out = session.sql(&query).unwrap();
-        assert_eq!(out.report.execution_mode, ExecutionMode::Materialized);
-
-        // a larger table in many partitions at dop 4: streaming wins
-        use raven_columnar::{partition_by_column, PartitionSpec};
-        let table = session.catalog().table("patients").unwrap();
-        let bigger = table.replicate(8, &["id"]).unwrap();
-        let partitioned =
-            partition_by_column(&bigger, &PartitionSpec::RoundRobin { partitions: 8 }).unwrap();
-        session.register_table(partitioned);
-        session.config_mut().degree_of_parallelism = 4;
-        let out = session.sql(&query).unwrap();
-        assert_eq!(out.report.execution_mode, ExecutionMode::Streaming);
     }
 
     #[test]

@@ -151,16 +151,13 @@ pub trait OptimizationStrategy: std::fmt::Debug {
 /// stage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ExecutionMode {
-    /// Let the optimizer cost both plans and pick the cheaper one
-    /// ([`choose_execution_mode`]).
-    Auto,
     /// Streaming partition-parallel pipeline: partitions flow through
     /// relational filters and ML scoring one at a time, pruned by statistics,
     /// concatenated only at the final output boundary.
     Streaming,
     /// Legacy materialized pipeline: the relational result is concatenated
     /// into one batch before scoring (the pre-BatchStream behaviour, kept as
-    /// the baseline the streaming path is costed against).
+    /// the §7 no-opt baseline and the streaming path's parity oracle).
     Materialized,
 }
 
@@ -168,169 +165,10 @@ impl ExecutionMode {
     /// Display name used in reports.
     pub fn name(&self) -> &'static str {
         match self {
-            ExecutionMode::Auto => "auto",
             ExecutionMode::Streaming => "streaming",
             ExecutionMode::Materialized => "materialized",
         }
     }
-}
-
-/// Abstract per-row / per-partition cost weights of the execution-mode cost
-/// model. Units are arbitrary; only ratios matter.
-mod mode_cost {
-    /// Cost of scanning + filtering one row.
-    pub const SCAN_ROW: f64 = 1.0;
-    /// Cost of scoring one row on the ML runtime.
-    pub const SCORE_ROW: f64 = 2.0;
-    /// Cost of copying one row into the concatenated batch (materialized
-    /// only).
-    pub const CONCAT_ROW: f64 = 0.5;
-    /// Fixed cost of dispatching one partition task to the worker pool
-    /// (streaming only).
-    pub const TASK: f64 = 500.0;
-}
-
-/// Estimated abstract cost of executing the data-plus-scoring pipeline in a
-/// given mode over `rows` rows spread across `partitions` partitions with
-/// `dop` workers. `selectivity` is the fraction of partitions the statistics
-/// cannot prune (1.0 = nothing prunable).
-pub fn estimate_mode_cost(
-    mode: ExecutionMode,
-    rows: usize,
-    partitions: usize,
-    dop: usize,
-    selectivity: f64,
-) -> f64 {
-    if mode == ExecutionMode::Auto {
-        return estimate_mode_cost(ExecutionMode::Streaming, rows, partitions, dop, selectivity)
-            .min(estimate_mode_cost(
-                ExecutionMode::Materialized,
-                rows,
-                partitions,
-                dop,
-                selectivity,
-            ));
-    }
-    let rows = rows as f64;
-    let partitions = partitions.max(1) as f64;
-    let selectivity = selectivity.clamp(0.0, 1.0);
-    match mode {
-        ExecutionMode::Materialized => {
-            // scans everything (no partition pruning), single-threaded
-            // scoring over one concatenated batch
-            rows * (mode_cost::SCAN_ROW + mode_cost::CONCAT_ROW + mode_cost::SCORE_ROW)
-        }
-        _ => {
-            let workers = (dop.max(1) as f64).min(partitions);
-            let surviving_rows = rows * selectivity;
-            surviving_rows * (mode_cost::SCAN_ROW + mode_cost::SCORE_ROW) / workers
-                + partitions * mode_cost::TASK
-        }
-    }
-}
-
-/// Pick the cheaper of the streamed and materialized plans for a table with
-/// `rows` rows in `partitions` partitions, executed at degree-of-parallelism
-/// `dop` with an (estimated) unprunable-partition fraction `selectivity`.
-/// This is what `ExecutionMode::Auto` resolves through.
-pub fn choose_execution_mode(
-    rows: usize,
-    partitions: usize,
-    dop: usize,
-    selectivity: f64,
-) -> ExecutionMode {
-    let streaming =
-        estimate_mode_cost(ExecutionMode::Streaming, rows, partitions, dop, selectivity);
-    let materialized = estimate_mode_cost(
-        ExecutionMode::Materialized,
-        rows,
-        partitions,
-        dop,
-        selectivity,
-    );
-    if streaming <= materialized {
-        ExecutionMode::Streaming
-    } else {
-        ExecutionMode::Materialized
-    }
-}
-
-/// Abstract cost of a mode when the join optimizer's cardinality estimate for
-/// the data side is available (multi-join plans). Unlike
-/// [`estimate_mode_cost`], which assumes every scanned row reaches scoring,
-/// this separates `scanned_rows` (total base-table rows the plan reads) from
-/// `estimated_out_rows` (the cost model's estimate of rows surviving joins and
-/// filters, i.e. rows that are actually concatenated and scored).
-pub fn estimate_mode_cost_from_estimates(
-    mode: ExecutionMode,
-    scanned_rows: usize,
-    estimated_out_rows: usize,
-    partitions: usize,
-    dop: usize,
-    selectivity: f64,
-) -> f64 {
-    let scanned = scanned_rows as f64;
-    let out = estimated_out_rows as f64;
-    let partitions = partitions.max(1) as f64;
-    let selectivity = selectivity.clamp(0.0, 1.0);
-    match mode {
-        ExecutionMode::Materialized => {
-            // every base row is scanned once; only surviving rows pay the
-            // concat-into-one-batch and scoring costs.
-            scanned * mode_cost::SCAN_ROW + out * (mode_cost::CONCAT_ROW + mode_cost::SCORE_ROW)
-        }
-        _ => {
-            let workers = (dop.max(1) as f64).min(partitions);
-            // pruning skips whole partitions' worth of scanning; surviving
-            // rows are scored in-stream (no concat), but each partition pays
-            // a task-dispatch fee.
-            (scanned * selectivity * mode_cost::SCAN_ROW + out * mode_cost::SCORE_ROW) / workers
-                + partitions * mode_cost::TASK
-        }
-    }
-}
-
-/// Estimate-aware counterpart of [`choose_execution_mode`]: picks Streaming
-/// vs. Materialized from the join cost model's intermediate-size estimate
-/// instead of assuming the scan cardinality flows through scoring. Used for
-/// multi-join plans when cost-based mode selection is enabled (the default;
-/// pin `RAVEN_MODE_COST=legacy` to restore the single-table heuristic).
-pub fn choose_execution_mode_from_estimates(
-    scanned_rows: usize,
-    estimated_out_rows: usize,
-    partitions: usize,
-    dop: usize,
-    selectivity: f64,
-) -> ExecutionMode {
-    let streaming = estimate_mode_cost_from_estimates(
-        ExecutionMode::Streaming,
-        scanned_rows,
-        estimated_out_rows,
-        partitions,
-        dop,
-        selectivity,
-    );
-    let materialized = estimate_mode_cost_from_estimates(
-        ExecutionMode::Materialized,
-        scanned_rows,
-        estimated_out_rows,
-        partitions,
-        dop,
-        selectivity,
-    );
-    if streaming <= materialized {
-        ExecutionMode::Streaming
-    } else {
-        ExecutionMode::Materialized
-    }
-}
-
-/// Whether cost-based execution-mode selection is enabled by default, read
-/// once from the `RAVEN_MODE_COST` environment variable (same A/B-pin shape
-/// as `RAVEN_JOIN_ORDER` for join ordering). `legacy` (or `off`/`0`) pins the
-/// pre-cost-model heuristic that only looks at the first referenced table.
-pub fn cost_based_mode_default() -> bool {
-    !raven_columnar::envcfg::mode_cost_legacy()
 }
 
 // ---------------------------------------------------------------------------
@@ -763,64 +601,5 @@ mod tests {
         let c = corpus(20);
         let rule = RuleBasedStrategy::train(&c, 2).unwrap();
         assert_eq!(evaluate_strategy(&rule, &[]), (0.0, 0.0));
-    }
-
-    #[test]
-    fn execution_mode_costing_prefers_streaming_for_partitioned_data() {
-        // many partitions, prunable predicate: streaming wins clearly
-        assert_eq!(
-            choose_execution_mode(100_000, 16, 4, 0.25),
-            ExecutionMode::Streaming
-        );
-        // large single-partition table: streaming still at least ties
-        // (no concat cost) and must never lose by the task-dispatch epsilon
-        assert_eq!(
-            choose_execution_mode(1_000_000, 1, 1, 1.0),
-            ExecutionMode::Streaming
-        );
-        // tiny table with many partitions and no pruning: task dispatch
-        // overhead dominates, materialized wins
-        assert_eq!(
-            choose_execution_mode(100, 64, 1, 1.0),
-            ExecutionMode::Materialized
-        );
-        // Auto cost equals the cheaper branch
-        let auto = estimate_mode_cost(ExecutionMode::Auto, 10_000, 8, 2, 0.5);
-        let best = estimate_mode_cost(ExecutionMode::Streaming, 10_000, 8, 2, 0.5).min(
-            estimate_mode_cost(ExecutionMode::Materialized, 10_000, 8, 2, 0.5),
-        );
-        assert_eq!(auto, best);
-        assert_eq!(ExecutionMode::Streaming.name(), "streaming");
-    }
-
-    #[test]
-    fn estimate_aware_mode_choice_uses_join_output_size() {
-        // Selective join: 100k rows scanned but only ~100 survive to scoring.
-        // The legacy chooser (which assumes all scanned rows are scored)
-        // prefers streaming on a large single-partition table, but with the
-        // output estimate the concat cost shrinks to ~nothing while streaming
-        // still pays the per-partition task fee: materialized wins.
-        assert_eq!(
-            choose_execution_mode(100_000, 1, 4, 1.0),
-            ExecutionMode::Streaming
-        );
-        assert_eq!(
-            choose_execution_mode_from_estimates(100_000, 100, 1, 4, 1.0),
-            ExecutionMode::Materialized
-        );
-        // Non-selective join over well-partitioned prunable data: streaming.
-        assert_eq!(
-            choose_execution_mode_from_estimates(100_000, 100_000, 16, 4, 0.25),
-            ExecutionMode::Streaming
-        );
-        // When the estimate says everything survives and there is one
-        // partition with one worker, the two cost models agree on ordering:
-        // streaming drops the concat term, so it still wins for big tables.
-        assert_eq!(
-            choose_execution_mode_from_estimates(1_000_000, 1_000_000, 1, 1, 1.0),
-            ExecutionMode::Streaming
-        );
-        // Degenerate empty estimate never panics.
-        let _ = choose_execution_mode_from_estimates(0, 0, 0, 0, f64::NAN);
     }
 }

@@ -9,13 +9,11 @@
 //! UDF boundary.
 //!
 //! Scoring runs compiled kernels by default: [`CompiledPipeline`] pairs a
-//! validated pipeline with flattened tree arenas ([`FlatEnsemble`], with an
-//! AVX2 tier runtime-dispatched per tree shape) and — whenever the shape
-//! allows — the fully fused featurize→score pass ([`FusedPipeline`], see
-//! [`kernels`]). The interpreted operator graph survives as the parity
-//! oracle (`RAVEN_SCORER=interpreted`), the per-operator compiled path as
-//! the fusion baseline ([`force_fusion`]), and the scalar cursor groups as
-//! the SIMD baseline (`RAVEN_SIMD=off` / [`force_simd`]).
+//! validated pipeline with flattened tree arenas ([`FlatEnsemble`]) and —
+//! whenever the shape allows — the fully fused featurize→score pass
+//! ([`FusedPipeline`], see [`kernels`]). The interpreted operator graph
+//! survives as the parity oracle (`RAVEN_SCORER=interpreted`) and the
+//! per-operator compiled path as the fusion baseline ([`force_fusion`]).
 
 pub mod builder;
 pub mod compiled;
@@ -33,9 +31,9 @@ pub use error::{MlError, Result};
 pub use frame::{FrameValue, Matrix, StringMatrix};
 pub use kernels::{force_fusion, fusion_active, FusedPipeline};
 pub use ops::{
-    force_scorer, force_simd, format_numeric_category, scorer_mode, sigmoid, simd_active,
-    Binarizer, CategoryTable, ConstantNode, EnsembleKind, FeatureExtractor, FlatEnsemble, Imputer,
-    LabelEncoder, LinearRegressionModel, LinearSvmModel, LogisticRegressionModel, Norm, Normalizer,
+    force_scorer, format_numeric_category, scorer_mode, sigmoid, Binarizer, CategoryTable,
+    ConstantNode, EnsembleKind, FeatureExtractor, FlatEnsemble, Imputer, LabelEncoder,
+    LinearRegressionModel, LinearSvmModel, LogisticRegressionModel, Norm, Normalizer,
     OneHotEncoder, Operator, OperatorCategory, Scaler, ScorerMode, Tree, TreeEnsemble, TreeNode,
 };
 pub use pipeline::{InputKind, Pipeline, PipelineInput, PipelineNode};

@@ -41,8 +41,7 @@
 //!
 //! The interpreted path survives as the parity baseline: set
 //! `RAVEN_SCORER=interpreted` (or [`force_scorer`]) to make every runtime
-//! scoring call ignore compiled kernels, mirroring the `RAVEN_POOL=scoped`
-//! convention of the worker pool.
+//! scoring call ignore compiled kernels.
 
 use crate::error::{MlError, Result};
 use crate::frame::Matrix;
@@ -105,19 +104,6 @@ pub struct FlatEnsemble {
 /// worst case at ~100 KB per tree while covering every trained model (the
 /// training configs top out at depth 8–10).
 const PERFECT_DEPTH_CAP: u32 = 12;
-
-/// Deepest padded tree the AVX2 walker is dispatched for. Gathers have a
-/// fixed per-element issue cost that cache locality cannot amortize, while
-/// the scalar cursor groups get *faster* on ragged trained trees (padding
-/// funnels their loads into a few hot lines). Measured on trained GB-60
-/// ensembles (46 features, single core): depth 3 ≈ 1.6×, depth 4 ≈ 1.2–1.4×
-/// in favor of the gathers, parity-to-regression from depth 5 up — so the
-/// SIMD tier takes the shallow trees and leaves deep ones to the scalar
-/// groups. The [`force_simd`] override enables/disables the *tier*; this
-/// shape cut always applies, which is what keeps "SIMD never regresses"
-/// true per tree.
-#[cfg(target_arch = "x86_64")]
-const SIMD_MAX_DEPTH: u32 = 4;
 
 /// Hummingbird-style "perfect tree traversal" arrays: every tree padded to a
 /// complete binary tree of its own depth, nodes stored heap-ordered (node
@@ -630,33 +616,6 @@ impl FlatEnsemble {
                 let node_off = p.node_offset[t] as usize;
                 let leaf_off = p.leaf_offset[t] as usize;
                 let first_bottom = (1usize << depth) - 1;
-                // Explicit-SIMD tier: AVX2 walks 8 cursors per vector
-                // with gathered node data when the runtime dispatch is
-                // active (see [`simd_active`]) and the tree's shape is one
-                // where gathers win (see [`SIMD_MAX_DEPTH`]); the scalar
-                // 8-cursor groups below remain the portable fallback (and
-                // the `RAVEN_SIMD=off` baseline).
-                #[cfg(target_arch = "x86_64")]
-                if (2..=SIMD_MAX_DEPTH).contains(&depth) && simd_active() {
-                    // SAFETY: AVX2 availability was runtime-detected;
-                    // the slice/shape contracts are those of the scalar
-                    // walker below (compile-time validated node data,
-                    // `blen <= BLOCK`, `chunk` covering every lane).
-                    unsafe {
-                        simd::walk_perfect_tree(
-                            &p.lane_off[node_off..],
-                            &p.threshold[node_off..],
-                            &p.leaf_value,
-                            leaf_off,
-                            depth,
-                            chunk,
-                            blen,
-                            acc,
-                            assign_first,
-                        );
-                    }
-                    continue;
-                }
                 // Cursors live in a fixed 8-lane group the compiler
                 // keeps in registers (the inner `for j in 0..8` fully
                 // unrolls): no per-level stack round-trip, eight
@@ -861,302 +820,6 @@ pub fn scorer_mode() -> ScorerMode {
     }
 }
 
-// ---------------------------------------------------------------------------
-// SIMD-tier selection (AVX2 when detected, scalar groups as the baseline)
-// ---------------------------------------------------------------------------
-
-/// 0 = no override, 1 = force SIMD on (still requires hardware support),
-/// 2 = force the scalar cursor groups.
-static FORCE_SIMD: AtomicU8 = AtomicU8::new(0);
-
-/// Programmatically pin the SIMD tier (benches A/B the walkers with this),
-/// overriding `RAVEN_SIMD`. `None` restores env-driven selection. Forcing
-/// SIMD on hardware without AVX2 stays on the scalar fallback.
-pub fn force_simd(enabled: Option<bool>) {
-    FORCE_SIMD.store(
-        match enabled {
-            None => 0,
-            Some(true) => 1,
-            Some(false) => 2,
-        },
-        Ordering::SeqCst,
-    );
-}
-
-/// Whether the explicit-SIMD perfect-tree walker is active: hardware support
-/// (`is_x86_feature_detected!("avx2")`) gated by the [`force_simd`] override
-/// and the `RAVEN_SIMD` environment variable (`off` pins the portable scalar
-/// groups). Detection and the env read are each cached in a `OnceLock` — this
-/// runs per scoring block on the serving hot path, which must take neither
-/// the cpuid cost nor the process-wide environment lock (mirroring
-/// `selection_vectors_default` / [`scorer_mode`]).
-pub fn simd_active() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        static DETECTED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-        if !*DETECTED.get_or_init(|| std::arch::is_x86_feature_detected!("avx2")) {
-            return false;
-        }
-        match FORCE_SIMD.load(Ordering::SeqCst) {
-            1 => return true,
-            2 => return false,
-            _ => {}
-        }
-        !raven_columnar::envcfg::simd_off()
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
-
-/// AVX2 perfect-tree walker: 8 row cursors per step via stable `std::arch`
-/// intrinsics. One level advances all 8 cursors with gathered node data
-/// (lane offsets as one 8×i32 gather, thresholds and feature values as
-/// paired 4×f64 gathers); `v <= threshold` lowers to `VCMPPD` with
-/// `_CMP_LE_OQ`, which is false for NaN — the same missing-value convention
-/// as the scalar walker, so results stay bit-identical. The first two
-/// levels touch only heap slots 0–2 and use contiguous loads plus blends
-/// instead of gathers.
-#[cfg(target_arch = "x86_64")]
-mod simd {
-    use std::arch::x86_64::*;
-
-    /// Walk one perfect tree over a lane block, assigning or accumulating
-    /// leaf values into `acc[..blen]`.
-    ///
-    /// # Safety
-    ///
-    /// Caller guarantees: AVX2 was runtime-detected; `depth >= 2`;
-    /// `blen <= acc.len()`; `lane_off` / `threshold` hold the tree's
-    /// `2^depth - 1` internal slots; `leaf_value[leaf_off..]` holds its
-    /// `2^depth` leaf slots; and every `lane_off` entry addresses a valid
-    /// lane of `chunk` for row offsets `0..blen` (established once at
-    /// compile time by `FlatEnsemble::compile`). Cursor indices stay within
-    /// the padded tree by the same heap-arithmetic argument as the scalar
-    /// walker.
-    #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
-    pub(super) unsafe fn walk_perfect_tree(
-        lane_off: &[u32],
-        threshold: &[f64],
-        leaf_value: &[f64],
-        leaf_off: usize,
-        depth: u32,
-        chunk: &[f64],
-        blen: usize,
-        acc: &mut [f64],
-        assign_first: bool,
-    ) {
-        let first_bottom = (1usize << depth) - 1;
-        let (off0, th0) = (lane_off[0] as usize, threshold[0]);
-        let (off1, th1) = (lane_off[1] as usize, threshold[1]);
-        let (off2, th2) = (lane_off[2] as usize, threshold[2]);
-        let two = _mm256_set1_epi32(2);
-        let chunk_ptr = chunk.as_ptr();
-        let mut g = 0usize;
-        let levels = (off0, th0, off1, th1, off2, th2);
-        // Two 8-cursor vector groups advance in lock step (16 rows per
-        // iteration): each level's gathers depend on the previous level's
-        // cursors, so a single group is gather-latency-bound — the second,
-        // independent group fills those stall cycles exactly like the scalar
-        // walker's eight independent chains do.
-        while g + 16 <= blen {
-            let mut n_a = levels01(chunk_ptr, g, levels, two);
-            let mut n_b = levels01(chunk_ptr, g + 8, levels, two);
-            let base_a = row_base(g);
-            let base_b = row_base(g + 8);
-            for _ in 2..depth {
-                n_a = gather_step(n_a, base_a, lane_off, threshold, chunk_ptr, two);
-                n_b = gather_step(n_b, base_b, lane_off, threshold, chunk_ptr, two);
-            }
-            let leaf_ptr = leaf_value.as_ptr().add(leaf_off);
-            fold_leaves(
-                n_a,
-                first_bottom,
-                leaf_ptr,
-                acc.as_mut_ptr().add(g),
-                assign_first,
-            );
-            fold_leaves(
-                n_b,
-                first_bottom,
-                leaf_ptr,
-                acc.as_mut_ptr().add(g + 8),
-                assign_first,
-            );
-            g += 16;
-        }
-        while g + 8 <= blen {
-            let mut n = levels01(chunk_ptr, g, levels, two);
-            let base = row_base(g);
-            for _ in 2..depth {
-                n = gather_step(n, base, lane_off, threshold, chunk_ptr, two);
-            }
-            let leaf_ptr = leaf_value.as_ptr().add(leaf_off);
-            fold_leaves(
-                n,
-                first_bottom,
-                leaf_ptr,
-                acc.as_mut_ptr().add(g),
-                assign_first,
-            );
-            g += 8;
-        }
-        // scalar tail for the short remainder of the block
-        for (i, a) in acc.iter_mut().enumerate().take(blen).skip(g) {
-            let mut n = 0usize;
-            for _ in 0..depth {
-                let off = *lane_off.get_unchecked(n) as usize;
-                let v = *chunk.get_unchecked(off + i);
-                let th = *threshold.get_unchecked(n);
-                n = 2 * n + 2 - (v <= th) as usize;
-            }
-            let leaf = *leaf_value.get_unchecked(leaf_off + n - first_bottom);
-            if assign_first {
-                *a = leaf;
-            } else {
-                *a += leaf;
-            }
-        }
-    }
-
-    /// The row-index base `[g, g+1, .., g+7]` added to gathered lane
-    /// offsets to form feature-value addresses.
-    ///
-    /// # Safety
-    ///
-    /// AVX2 must be available.
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    unsafe fn row_base(g: usize) -> __m256i {
-        let g = g as i32;
-        _mm256_setr_epi32(g, g + 1, g + 2, g + 3, g + 4, g + 5, g + 6, g + 7)
-    }
-
-    /// Levels 0 and 1 for rows `g..g+8`: the root's lane is one contiguous
-    /// load, and level 1's node (heap slot 1 or 2) is two contiguous loads
-    /// blended on the level-0 mask — no gathers. Returns the 8×i32 cursors
-    /// positioned at level 2. Cursor arithmetic is the scalar
-    /// `n = 2n + 2 - (v <= t)` with the all-ones compare mask (-1 when
-    /// `v <= t`, false for NaN) as the subtrahend.
-    ///
-    /// # Safety
-    ///
-    /// AVX2 must be available; the three lane offsets must be valid for rows
-    /// `g..g+8` of `chunk_ptr`'s lane block.
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    unsafe fn levels01(
-        chunk_ptr: *const f64,
-        g: usize,
-        (off0, th0, off1, th1, off2, th2): (usize, f64, usize, f64, usize, f64),
-        two: __m256i,
-    ) -> __m256i {
-        let v0_lo = _mm256_loadu_pd(chunk_ptr.add(off0 + g));
-        let v0_hi = _mm256_loadu_pd(chunk_ptr.add(off0 + g + 4));
-        let t0 = _mm256_set1_pd(th0);
-        let m0_lo = _mm256_cmp_pd::<_CMP_LE_OQ>(v0_lo, t0);
-        let m0_hi = _mm256_cmp_pd::<_CMP_LE_OQ>(v0_hi, t0);
-        let v1_lo = _mm256_blendv_pd(
-            _mm256_loadu_pd(chunk_ptr.add(off2 + g)),
-            _mm256_loadu_pd(chunk_ptr.add(off1 + g)),
-            m0_lo,
-        );
-        let v1_hi = _mm256_blendv_pd(
-            _mm256_loadu_pd(chunk_ptr.add(off2 + g + 4)),
-            _mm256_loadu_pd(chunk_ptr.add(off1 + g + 4)),
-            m0_hi,
-        );
-        let t1 = _mm256_set1_pd(th1);
-        let t2 = _mm256_set1_pd(th2);
-        let m1_lo = _mm256_cmp_pd::<_CMP_LE_OQ>(v1_lo, _mm256_blendv_pd(t2, t1, m0_lo));
-        let m1_hi = _mm256_cmp_pd::<_CMP_LE_OQ>(v1_hi, _mm256_blendv_pd(t2, t1, m0_hi));
-        let le0 = pack_le_mask(m0_lo, m0_hi);
-        let le1 = pack_le_mask(m1_lo, m1_hi);
-        let n = _mm256_add_epi32(two, le0);
-        _mm256_add_epi32(_mm256_add_epi32(n, n), _mm256_add_epi32(two, le1))
-    }
-
-    /// One gathered level: lane offsets as one 8×i32 gather, thresholds and
-    /// feature values as paired 4×f64 gathers, then the branchless cursor
-    /// update.
-    ///
-    /// # Safety
-    ///
-    /// AVX2 must be available; every cursor in `n` must index a valid
-    /// internal slot of `lane_off` / `threshold`, whose offsets must be
-    /// valid lanes of `chunk_ptr` for the rows `base` addresses.
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    unsafe fn gather_step(
-        n: __m256i,
-        base: __m256i,
-        lane_off: &[u32],
-        threshold: &[f64],
-        chunk_ptr: *const f64,
-        two: __m256i,
-    ) -> __m256i {
-        let offs = _mm256_i32gather_epi32::<4>(lane_off.as_ptr() as *const i32, n);
-        let addr = _mm256_add_epi32(offs, base);
-        let th_lo = _mm256_i32gather_pd::<8>(threshold.as_ptr(), _mm256_castsi256_si128(n));
-        let th_hi = _mm256_i32gather_pd::<8>(threshold.as_ptr(), _mm256_extracti128_si256::<1>(n));
-        let v_lo = _mm256_i32gather_pd::<8>(chunk_ptr, _mm256_castsi256_si128(addr));
-        let v_hi = _mm256_i32gather_pd::<8>(chunk_ptr, _mm256_extracti128_si256::<1>(addr));
-        let m_lo = _mm256_cmp_pd::<_CMP_LE_OQ>(v_lo, th_lo);
-        let m_hi = _mm256_cmp_pd::<_CMP_LE_OQ>(v_hi, th_hi);
-        let le = pack_le_mask(m_lo, m_hi);
-        _mm256_add_epi32(_mm256_add_epi32(n, n), _mm256_add_epi32(two, le))
-    }
-
-    /// Map bottom-row cursors to leaf slots, gather the leaf values, and
-    /// assign or accumulate them into `acc_ptr[0..8]`.
-    ///
-    /// # Safety
-    ///
-    /// AVX2 must be available; cursors must sit in the bottom row and
-    /// `acc_ptr` must be valid for 8 reads/writes.
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    unsafe fn fold_leaves(
-        n: __m256i,
-        first_bottom: usize,
-        leaf_ptr: *const f64,
-        acc_ptr: *mut f64,
-        assign_first: bool,
-    ) {
-        let leaf_idx = _mm256_sub_epi32(n, _mm256_set1_epi32(first_bottom as i32));
-        let leaf_lo = _mm256_i32gather_pd::<8>(leaf_ptr, _mm256_castsi256_si128(leaf_idx));
-        let leaf_hi = _mm256_i32gather_pd::<8>(leaf_ptr, _mm256_extracti128_si256::<1>(leaf_idx));
-        if assign_first {
-            _mm256_storeu_pd(acc_ptr, leaf_lo);
-            _mm256_storeu_pd(acc_ptr.add(4), leaf_hi);
-        } else {
-            _mm256_storeu_pd(acc_ptr, _mm256_add_pd(_mm256_loadu_pd(acc_ptr), leaf_lo));
-            _mm256_storeu_pd(
-                acc_ptr.add(4),
-                _mm256_add_pd(_mm256_loadu_pd(acc_ptr.add(4)), leaf_hi),
-            );
-        }
-    }
-
-    /// Narrow two 4×f64 compare masks into one 8×i32 mask vector ordered
-    /// `[lo0..lo3, hi0..hi3]` (-1 where the compare was true): the even
-    /// 32-bit half of each 64-bit mask, picked per 128-bit lane by
-    /// `shuffle_ps` and reordered by a cross-lane permute.
-    ///
-    /// # Safety
-    ///
-    /// AVX2 must be available (callers run under `target_feature(avx2)`).
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    unsafe fn pack_le_mask(lo: __m256d, hi: __m256d) -> __m256i {
-        let even = _mm256_shuffle_ps::<0b10_00_10_00>(_mm256_castpd_ps(lo), _mm256_castpd_ps(hi));
-        let order = _mm256_setr_epi32(0, 1, 4, 5, 2, 3, 6, 7);
-        _mm256_permutevar8x32_epi32(_mm256_castps_si256(even), order)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1322,141 +985,5 @@ mod tests {
         force_scorer(Some(ScorerMode::Flattened));
         assert_eq!(scorer_mode(), ScorerMode::Flattened);
         force_scorer(None);
-    }
-
-    #[test]
-    #[ignore = "manual perf probe"]
-    fn perf_probe_simd_vs_scalar() {
-        use std::time::Instant;
-        let mut s = 0x1234_5678u64;
-        let mut rnd = move || {
-            s = s.wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(17) | 1;
-            s
-        };
-        for n_features in [12usize, 46] {
-            for depth in [3u32, 4, 5, 6, 8] {
-                let trees: Vec<Tree> = (0..60)
-                    .map(|_| {
-                        let internal = (1usize << depth) - 1;
-                        let mut nodes = Vec::new();
-                        for _ in 0..internal {
-                            nodes.push(TreeNode::Branch {
-                                feature: rnd() as usize % n_features,
-                                threshold: (rnd() % 100) as f64 - 50.0,
-                                left: 0,
-                                right: 0,
-                            });
-                        }
-                        for _ in 0..(1usize << depth) {
-                            nodes.push(TreeNode::Leaf {
-                                value: (rnd() % 100) as f64 / 100.0,
-                            });
-                        }
-                        for (i, node) in nodes.iter_mut().enumerate().take(internal) {
-                            if let TreeNode::Branch { left, right, .. } = node {
-                                *left = 2 * i + 1;
-                                *right = 2 * i + 2;
-                            }
-                        }
-                        Tree { nodes, root: 0 }
-                    })
-                    .collect();
-                let ens = TreeEnsemble {
-                    kind: EnsembleKind::GradientBoostingClassifier,
-                    trees,
-                    n_features,
-                    learning_rate: 0.15,
-                    base_score: 0.0,
-                };
-                let flat = FlatEnsemble::compile(&ens).unwrap();
-                let rows = 4096;
-                let cols: Vec<Vec<f64>> = (0..n_features)
-                    .map(|_| (0..rows).map(|_| (rnd() % 120) as f64 - 60.0).collect())
-                    .collect();
-                let x = Matrix::from_columns(&cols).unwrap();
-                let mut rates = [0.0f64; 2];
-                for (k, simd) in [false, true].into_iter().enumerate() {
-                    force_simd(Some(simd));
-                    let mut best = f64::MAX;
-                    for _ in 0..5 {
-                        let t = Instant::now();
-                        for _ in 0..30 {
-                            std::hint::black_box(flat.predict(&x).unwrap());
-                        }
-                        best = best.min(t.elapsed().as_secs_f64());
-                    }
-                    rates[k] = rows as f64 * 30.0 / best / 1e6;
-                }
-                println!(
-                    "features {n_features:>2} depth {depth}: scalar {:>5.1} simd {:>5.1} Mrows/s ({:.2}x)",
-                    rates[0], rates[1], rates[1] / rates[0]
-                );
-            }
-        }
-        force_simd(None);
-    }
-
-    /// The AVX2 walker and the scalar cursor groups must agree bit for bit
-    /// (on hardware without AVX2 both forces resolve to the scalar path and
-    /// the assertion is trivially true).
-    #[test]
-    fn simd_matches_scalar_bitwise() {
-        let mut trees = vec![deep_tree(), Tree::leaf(-0.25)];
-        // a depth-4 tree with distinct leaves per path exercises the gather
-        // loop past the two register-resident levels
-        let mut nodes = Vec::new();
-        for i in 0..7 {
-            nodes.push(TreeNode::Branch {
-                feature: i % 3,
-                threshold: (i as f64) * 3.0 - 6.0,
-                left: 2 * i + 1,
-                right: 2 * i + 2,
-            });
-        }
-        for i in 0..8 {
-            nodes.push(TreeNode::Leaf {
-                value: i as f64 - 3.5,
-            });
-        }
-        trees.push(Tree { nodes, root: 0 });
-        for kind in [
-            EnsembleKind::DecisionTreeClassifier,
-            EnsembleKind::RandomForestClassifier,
-            EnsembleKind::GradientBoostingClassifier,
-            EnsembleKind::GradientBoostingRegressor,
-        ] {
-            let ens = TreeEnsemble {
-                kind,
-                trees: trees.clone(),
-                n_features: 3,
-                learning_rate: 0.4,
-                base_score: -0.1,
-            };
-            let flat = FlatEnsemble::compile(&ens).unwrap();
-            let rows = 197; // several full 8-groups plus a tail, > BLOCK
-            let cols: Vec<Vec<f64>> = (0..3)
-                .map(|f| {
-                    (0..rows)
-                        .map(|r| match (r + f) % 7 {
-                            0 => f64::NAN,
-                            k => k as f64 * 2.5 - 7.0,
-                        })
-                        .collect()
-                })
-                .collect();
-            let x = Matrix::from_columns(&cols).unwrap();
-            force_simd(Some(false));
-            let scalar = flat.predict(&x).unwrap();
-            force_simd(Some(true));
-            let simd = flat.predict(&x).unwrap();
-            force_simd(None);
-            for r in 0..rows {
-                assert_eq!(
-                    scalar.get(r, 0).to_bits(),
-                    simd.get(r, 0).to_bits(),
-                    "kind {kind:?} row {r}"
-                );
-            }
-        }
     }
 }

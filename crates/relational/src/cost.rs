@@ -26,8 +26,8 @@ const DEFAULT_TABLE_ROWS: f64 = 1_000.0;
 /// The process-wide default for cost-based join planning (logical join
 /// reordering and physical build-side selection): on, unless
 /// `RAVEN_JOIN_ORDER=asis` pins the as-written join order as the parity
-/// baseline (mirroring the `RAVEN_SCORER` / `RAVEN_SELECTION` / `RAVEN_POOL`
-/// conventions). The env variable is read once via the central
+/// baseline (mirroring the `RAVEN_SCORER` / `RAVEN_SELECTION` conventions).
+/// The env variable is read once via the central
 /// [`raven_columnar::envcfg`] registry — this runs per optimizer/execution-
 /// context construction on the serving hot path, which must not take the
 /// process-wide environment lock.

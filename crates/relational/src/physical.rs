@@ -71,7 +71,7 @@ impl Default for ExecutionContext {
 
 /// The process-wide default for selection-vector execution: on, unless
 /// `RAVEN_SELECTION=materialize` pins the copying baseline (mirroring the
-/// `RAVEN_POOL=scoped` / `RAVEN_SCORER=interpreted` conventions). The env
+/// `RAVEN_SCORER=interpreted` convention). The env
 /// variable is read once via the central [`raven_columnar::envcfg`] registry —
 /// this runs per execution-context construction on the serving hot path,
 /// which must not take the process-wide environment lock (same rationale as

@@ -12,42 +12,17 @@
 //!
 //! Plain LRU is scan-vulnerable: a burst of one-off queries (an analyst
 //! sweeping ad-hoc SQL past a hot serving workload) evicts the expensive hot
-//! plans even though each intruder is used once. The default policy is
-//! therefore **TinyLFU-style admission** (Einziger et al.): a count-min
+//! plans even though each intruder is used once. The cache therefore runs
+//! **TinyLFU-style admission** (Einziger et al.): a count-min
 //! sketch of 4-bit counters estimates every key's access frequency at O(1)
 //! space per cache slot, and an insert at capacity must *beat the LRU
 //! victim's frequency estimate* to displace it — a one-hit wonder loses to
 //! any entry that was ever re-used, while a genuinely hot newcomer wins.
 //! Counters are halved every `16 × capacity` sketch increments so the
 //! frequency estimate ages (yesterday's hot query cannot squat forever).
-//! `RAVEN_CACHE_POLICY=lru` pins the plain recency-only baseline;
-//! [`LruCache::with_policy`] is the programmatic override for A/Bs.
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-
-/// Eviction/admission policy of an [`LruCache`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CachePolicy {
-    /// Plain recency-only LRU (the parity oracle): inserts always land,
-    /// evicting the least-recently-used entry.
-    Lru,
-    /// TinyLFU admission over LRU eviction: an insert at capacity must beat
-    /// the LRU victim's sketched frequency estimate to displace it.
-    TinyLfu,
-}
-
-impl CachePolicy {
-    /// The process default: TinyLFU unless `RAVEN_CACHE_POLICY=lru` pins
-    /// the recency-only baseline.
-    pub fn default_policy() -> CachePolicy {
-        if raven_columnar::envcfg::cache_policy_lru() {
-            CachePolicy::Lru
-        } else {
-            CachePolicy::TinyLfu
-        }
-    }
-}
 
 /// A count-min sketch of 4-bit saturating counters: 4 hash rows over one
 /// `u8` table (low/high nibbles used as separate counters via row offsets
@@ -115,7 +90,7 @@ impl FrequencySketch {
     }
 }
 
-/// A small bounded cache: LRU eviction with (by default) TinyLFU admission.
+/// A small bounded cache: LRU eviction with TinyLFU admission.
 /// Recency is tracked with a monotonic touch counter; eviction scans for the
 /// minimum, which is O(capacity) — capacities here are tens to hundreds of
 /// prepared plans, far below the point where a linked-list LRU would pay for
@@ -125,35 +100,19 @@ pub struct LruCache<K, V> {
     capacity: usize,
     clock: u64,
     entries: HashMap<K, (V, u64)>,
-    policy: CachePolicy,
-    sketch: Option<FrequencySketch>,
+    sketch: FrequencySketch,
 }
 
 impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
-    /// An empty cache holding at most `capacity` entries (minimum 1), using
-    /// the process-default policy ([`CachePolicy::default_policy`]).
+    /// An empty cache holding at most `capacity` entries (minimum 1).
     pub fn new(capacity: usize) -> Self {
-        Self::with_policy(capacity, CachePolicy::default_policy())
-    }
-
-    /// An empty cache with an explicit policy (A/Bs and the LRU oracle).
-    pub fn with_policy(capacity: usize, policy: CachePolicy) -> Self {
         let capacity = capacity.max(1);
         LruCache {
             capacity,
             clock: 0,
             entries: HashMap::new(),
-            policy,
-            sketch: match policy {
-                CachePolicy::Lru => None,
-                CachePolicy::TinyLfu => Some(FrequencySketch::new(capacity)),
-            },
+            sketch: FrequencySketch::new(capacity),
         }
-    }
-
-    /// The admission policy this cache runs.
-    pub fn policy(&self) -> CachePolicy {
-        self.policy
     }
 
     fn key_hash(key: &K) -> u64 {
@@ -167,9 +126,7 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     pub fn get(&mut self, key: &K) -> Option<&V> {
         self.clock += 1;
         let clock = self.clock;
-        if let Some(sketch) = &mut self.sketch {
-            sketch.increment(Self::key_hash(key));
-        }
+        self.sketch.increment(Self::key_hash(key));
         self.entries.get_mut(key).map(|(v, touched)| {
             *touched = clock;
             &*v
@@ -177,16 +134,14 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     }
 
     /// Insert (or replace) an entry. Replacements always land; a brand-new
-    /// key arriving at capacity is subject to the admission policy: under
-    /// TinyLFU it must beat the LRU victim's frequency estimate, otherwise
-    /// the victim stays and the insert is dropped (the caller just re-misses
-    /// later — correctness never depends on an insert landing).
+    /// key arriving at capacity must beat the LRU victim's frequency
+    /// estimate (TinyLFU admission), otherwise the victim stays and the
+    /// insert is dropped (the caller just re-misses later — correctness
+    /// never depends on an insert landing).
     pub fn insert(&mut self, key: K, value: V) {
         self.clock += 1;
         let hash = Self::key_hash(&key);
-        if let Some(sketch) = &mut self.sketch {
-            sketch.increment(hash);
-        }
+        self.sketch.increment(hash);
         if self.entries.contains_key(&key) {
             self.entries.insert(key, (value, self.clock));
             return;
@@ -198,12 +153,10 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
                 .min_by_key(|(_, (_, touched))| *touched)
                 .map(|(k, _)| k.clone());
             if let Some(victim) = victim {
-                if let Some(sketch) = &self.sketch {
-                    // TinyLFU admission: the newcomer must be at least as
-                    // frequent as the coldest resident to displace it
-                    if sketch.estimate(hash) < sketch.estimate(Self::key_hash(&victim)) {
-                        return;
-                    }
+                // TinyLFU admission: the newcomer must be at least as
+                // frequent as the coldest resident to displace it
+                if self.sketch.estimate(hash) < self.sketch.estimate(Self::key_hash(&victim)) {
+                    return;
                 }
                 self.entries.remove(&victim);
             }
@@ -304,7 +257,7 @@ mod tests {
 
     #[test]
     fn tinylfu_rejects_one_hit_wonders_scanning_past_hot_entries() {
-        let mut c = LruCache::with_policy(2, CachePolicy::TinyLfu);
+        let mut c = LruCache::new(2);
         c.insert("hot1", 1);
         c.insert("hot2", 2);
         // establish frequency: both residents are re-used repeatedly
@@ -326,7 +279,7 @@ mod tests {
 
     #[test]
     fn tinylfu_admits_a_newcomer_hotter_than_the_victim() {
-        let mut c = LruCache::with_policy(2, CachePolicy::TinyLfu);
+        let mut c = LruCache::new(2);
         c.insert("cold", 1);
         c.insert("warm", 2);
         for _ in 0..4 {
@@ -345,21 +298,6 @@ mod tests {
         );
         assert!(c.get(&"cold").is_none(), "the cold victim is displaced");
         assert_eq!(c.get(&"warm"), Some(&2));
-    }
-
-    #[test]
-    fn lru_oracle_admits_everything() {
-        // the RAVEN_CACHE_POLICY=lru baseline: a scan always displaces
-        let mut c = LruCache::with_policy(2, CachePolicy::Lru);
-        assert_eq!(c.policy(), CachePolicy::Lru);
-        c.insert("hot1", 1);
-        c.insert("hot2", 2);
-        for _ in 0..8 {
-            assert!(c.get(&"hot1").is_some());
-        }
-        c.insert("scan", 3);
-        assert_eq!(c.get(&"scan"), Some(&3), "plain LRU admits unconditionally");
-        assert!(c.get(&"hot2").is_none());
     }
 
     #[test]

@@ -64,7 +64,7 @@ pub mod qos;
 pub mod server;
 mod sync;
 
-pub use cache::{CachePolicy, LruCache};
+pub use cache::LruCache;
 pub use error::{Result, ServeError};
 pub use metrics::{ServingMetrics, ServingReport, TenantStats};
 pub use qos::QosConfig;

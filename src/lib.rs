@@ -55,8 +55,8 @@
 //!   **partition pruning** (observable as `ExecutionReport::pruned_partitions`),
 //!   scoring, and post-processing partition-parallel, and concatenates only
 //!   at the final output boundary. `core::ExecutionMode` selects between the
-//!   streaming pipeline, the legacy materialized plan (the §7 baseline), or
-//!   a cost-based choice (`core::choose_execution_mode`).
+//!   streaming pipeline (the default) and the legacy materialized plan (the
+//!   §7 baseline).
 //!
 //! ## Architecture: vectorized scoring kernels and selection vectors
 //!
@@ -106,15 +106,6 @@
 //!   (`ml::force_fusion`); measured ≈ 5× end-to-end prepared scoring on
 //!   the one-hot + scaler → GB-60 workload (gate ≥ 1.5× in
 //!   `serving_study`).
-//! * **SIMD tree tier (PR 5).** On AVX2 hardware
-//!   (`is_x86_feature_detected!`, cached; `RAVEN_SIMD=off` or
-//!   `ml::force_simd` pin the portable scalar groups — the same knob
-//!   family as `RAVEN_SCORER` / `RAVEN_SELECTION` / `RAVEN_POOL`), the
-//!   perfect-tree walker runs 8 cursors per vector with gathered node
-//!   data, two vector groups interleaved to hide gather latency. Dispatch
-//!   is shape-aware: shallow padded trees (depth ≤ 4, where gathers beat
-//!   the scalar groups' cache locality by 1.2–1.6×) take the SIMD tier,
-//!   deeper trees stay scalar, so SIMD never regresses (asserted).
 //! * **Fused expression kernels.** `relational::eval` evaluates predicates
 //!   straight to masks (compare→mask, AND/OR/NOT/IS NULL fused, literal
 //!   operands kept scalar, thread-local scratch reuse), so a pushed-down
@@ -235,8 +226,7 @@
 //! * **TinyLFU cache admission** (`serve::cache`). The plan/model caches
 //!   admit on a frequency sketch (a doorkeeper + 4-bit counting sketch with
 //!   periodic halving) so one burst of cold fingerprints cannot evict the
-//!   hot working set; `RAVEN_CACHE_POLICY=lru` pins plain recency-only
-//!   eviction as the A/B baseline.
+//!   hot working set.
 //!
 //! The `heavy_serving` smoke (100 mixed-tenant clients, duplicate-heavy
 //! schedule from `datagen::tenant_schedule`) gates fusion ≥ 2× the unfused
@@ -358,26 +348,23 @@
 //! `cargo run -p xtask -- lint` (wired into CI): no raw `RAVEN_*`
 //! environment reads outside the `columnar::envcfg` registry, no
 //! `.unwrap()`/`.expect(` in non-test serving code, and every `RAVEN_*`
-//! variable documented in the table below.
+//! variable documented in the table below (and every row still in use).
 //!
 //! ## Environment variables
 //!
 //! All runtime knobs are read **once** through cached accessors in
 //! `columnar::envcfg` (enforced by `xtask lint`); this table is the
 //! authoritative registry — the lint fails if a `RAVEN_*` variable appears
-//! in the sources without a row here.
+//! in the sources without a row here, or if a row names a variable that no
+//! source or test file mentions any more.
 //!
 //! | Variable | Effect |
 //! |---|---|
 //! | `RAVEN_SCORER=interpreted` | Pin the interpreted tree walker (A/B baseline for `ml::FlatEnsemble`). |
 //! | `RAVEN_SELECTION=materialize` | Pin copying `Batch::filter` instead of zero-copy selection vectors. |
-//! | `RAVEN_SIMD=off` | Disable the AVX2 tree-scoring tier; portable scalar groups only. |
-//! | `RAVEN_POOL=scoped` | Pin the legacy scoped thread-per-job pool instead of the shared work-stealing pool. |
 //! | `RAVEN_POOL_WORKERS=<n>` | Size the shared worker pool (default: machine parallelism). |
 //! | `RAVEN_JOIN_ORDER=asis` | Pin as-written join order (disable the cost-based join optimizer). |
 //! | `RAVEN_FUSION=off` | Pin one-drive-per-request serving (disable cross-request SQL fusion). |
-//! | `RAVEN_CACHE_POLICY=lru` | Pin recency-only cache eviction (disable TinyLFU frequency-aware admission). |
-//! | `RAVEN_MODE_COST=legacy`&nbsp;/&nbsp;`off` | Disable cost-based execution-mode choice in `core::choose_execution_mode`. |
 //! | `RAVEN_DATA_DIR=<path>` | Durable-catalog data directory fallback when `ServerConfig::data_dir` is unset (uncached: read per `open_durable`). |
 //! | `RAVEN_VERIFY=strict` | Enable the plan/artifact verifier in release builds (always on in debug). |
 //! | `RAVEN_FAULTS=<schedule>` | Install a seeded fault-injection schedule (e.g. `seed=7;storage.journal.sync=3+fail*2`); unset = failpoints are inert single atomic loads. |

@@ -4,16 +4,15 @@
 //! NaN/missing feature values, and empty inputs; the fused featurize→score
 //! pass must be bit-identical to the per-operator interpreted path across
 //! featurizer stacks × unknown/NaN categories × empty batches × all three
-//! linear models; the AVX2 SIMD tier must agree bit-for-bit with the scalar
-//! cursor groups; and selection-vector execution must produce row-identical
+//! linear models; and selection-vector execution must produce row-identical
 //! results to the materializing baseline, with zero intermediate batch
 //! copies.
 
 use proptest::prelude::*;
 use raven_columnar::TableBuilder;
 use raven_ml::{
-    force_fusion, force_scorer, force_simd, EnsembleKind, FlatEnsemble, Matrix, ScorerMode, Tree,
-    TreeEnsemble, TreeNode,
+    force_fusion, force_scorer, EnsembleKind, FlatEnsemble, Matrix, ScorerMode, Tree, TreeEnsemble,
+    TreeNode,
 };
 use raven_relational::{col, lit, ExecutionContext, Executor, LogicalPlan};
 
@@ -400,32 +399,22 @@ proptest! {
         force_fusion(Some(false));
         let per_op = rt.run_batch_compiled(&compiled, &batch);
         force_fusion(None);
-        // PR 5: fused pass, with the SIMD tier both off and on
-        force_simd(Some(false));
-        let fused_scalar = rt.run_batch_compiled(&compiled, &batch);
-        force_simd(Some(true));
-        let fused_simd = rt.run_batch_compiled(&compiled, &batch);
-        force_simd(None);
+        // PR 5: the fused pass
+        let fused = rt.run_batch_compiled(&compiled, &batch);
         let interpreted = interpreted.unwrap();
         let per_op = per_op.unwrap();
-        let fused_scalar = fused_scalar.unwrap();
-        let fused_simd = fused_simd.unwrap();
+        let fused = fused.unwrap();
         prop_assert_eq!(interpreted.len(), rows);
         prop_assert_eq!(per_op.len(), rows);
-        prop_assert_eq!(fused_scalar.len(), rows);
-        prop_assert_eq!(fused_simd.len(), rows);
+        prop_assert_eq!(fused.len(), rows);
         for r in 0..rows {
             prop_assert_eq!(
                 interpreted[r].to_bits(), per_op[r].to_bits(),
                 "row {}: interpreted {} vs per-op {}", r, interpreted[r], per_op[r]
             );
             prop_assert_eq!(
-                interpreted[r].to_bits(), fused_scalar[r].to_bits(),
-                "row {}: interpreted {} vs fused {}", r, interpreted[r], fused_scalar[r]
-            );
-            prop_assert_eq!(
-                fused_scalar[r].to_bits(), fused_simd[r].to_bits(),
-                "row {}: fused scalar {} vs fused simd {}", r, fused_scalar[r], fused_simd[r]
+                interpreted[r].to_bits(), fused[r].to_bits(),
+                "row {}: interpreted {} vs fused {}", r, interpreted[r], fused[r]
             );
         }
     }

@@ -2,7 +2,8 @@
 //! for any randomly generated workload, the streaming path must produce
 //! row-identical output to the materialized path across dop ∈ {1, 4} and
 //! partitioned/unpartitioned tables, and statistics-based partition pruning
-//! must never change results.
+//! must never change results. A fixed join case extends the parity to
+//! multi-table plans with a selective dimension filter.
 
 use proptest::prelude::*;
 use raven::prelude::*;
@@ -218,6 +219,117 @@ proptest! {
                 streamed.report.pruned_partitions + streamed.report.streamed_partitions,
                 partitions.max(1)
             );
+        }
+    }
+}
+
+const JOIN_QUERY: &str = "WITH data AS (SELECT * FROM orders JOIN customers ON cust_id = cust_key) \
+                          SELECT d.id, p.score FROM PREDICT(MODEL = amount_model, DATA = data AS d) \
+                          WITH (score float) AS p WHERE d.tier < 0.02";
+
+/// A 20k-row fact table in 8 amount ranges, joined to 50 customers.
+fn orders(rows: usize) -> Table {
+    use rand::{Rng, SeedableRng};
+    let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+    let table = TableBuilder::new("orders")
+        .add_i64("id", (0..rows as i64).collect())
+        .add_f64(
+            "amount",
+            (0..rows).map(|_| rng.gen_range(1.0..500.0)).collect(),
+        )
+        .add_i64("cust_id", (0..rows).map(|i| (i % 50) as i64).collect())
+        .build()
+        .unwrap();
+    partition_by_column(
+        &table,
+        &PartitionSpec::ByRange {
+            column: "amount".into(),
+            partitions: 8,
+        },
+    )
+    .unwrap()
+}
+
+fn customers() -> Table {
+    TableBuilder::new("customers")
+        .add_i64("cust_key", (0..50).collect())
+        .add_f64("tier", (0..50).map(|i| i as f64 / 50.0).collect())
+        .build()
+        .unwrap()
+}
+
+fn amount_model() -> Pipeline {
+    let tree = Tree {
+        nodes: vec![
+            TreeNode::Branch {
+                feature: 0,
+                threshold: 250.0,
+                left: 1,
+                right: 2,
+            },
+            TreeNode::Leaf { value: 0.2 },
+            TreeNode::Leaf { value: 0.8 },
+        ],
+        root: 0,
+    };
+    Pipeline::new(
+        "amount_model",
+        vec![PipelineInput {
+            name: "amount".into(),
+            kind: InputKind::Numeric,
+        }],
+        vec![PipelineNode {
+            name: "model".into(),
+            op: Operator::TreeEnsemble(TreeEnsemble::single_tree(tree, 1)),
+            inputs: vec!["amount".into()],
+            output: "score".into(),
+        }],
+        "score",
+    )
+    .unwrap()
+}
+
+/// Sorted `(id, score bits)` of a join query's output.
+fn id_score_bits(batch: &Batch) -> Vec<(i64, u64)> {
+    let ids = batch.column_by_name("id").unwrap().as_i64().unwrap();
+    let scores = batch.column_by_name("score").unwrap().as_f64().unwrap();
+    let mut rows: Vec<(i64, u64)> = ids
+        .iter()
+        .zip(scores)
+        .map(|(id, s)| (*id, s.to_bits()))
+        .collect();
+    rows.sort_unstable();
+    rows
+}
+
+/// Session layer, multi-table: `orders ⋈ customers` with a ~2% dimension
+/// filter returns bitwise-identical `(id, score)` rows under both execution
+/// modes at every tested dop.
+#[test]
+fn join_with_dimension_filter_streaming_matches_materialized() {
+    let mut session = RavenSession::new();
+    session.register_table(orders(20_000));
+    session.register_table(customers());
+    session.register_model(amount_model());
+    session.config_mut().runtime_policy = RuntimePolicy::NoTransform;
+
+    let mut reference: Option<Vec<(i64, u64)>> = None;
+    for dop in test_dops() {
+        for mode in [ExecutionMode::Materialized, ExecutionMode::Streaming] {
+            session.config_mut().execution_mode = mode;
+            session.config_mut().degree_of_parallelism = dop;
+            let out = session.sql(JOIN_QUERY).unwrap();
+            assert_eq!(out.report.execution_mode, mode);
+            let rows = id_score_bits(&out.batch);
+            match &reference {
+                None => {
+                    assert!(!rows.is_empty());
+                    reference = Some(rows);
+                }
+                Some(expected) => {
+                    assert_eq!(&rows, expected, "{} (dop {dop}) diverged", mode.name())
+                }
+            }
         }
     }
 }

@@ -1,5 +1,6 @@
 //! Offline repo-invariant lint: dependency-free lexical checks over
-//! `crates/*/src` and `src/` (test code excluded), run as
+//! `crates/*/src` and `src/` (test code excluded; `tests/` is read only to
+//! find which `RAVEN_*` variables are still in use), run as
 //! `cargo run -p xtask -- lint` and wired into CI ahead of the test suite.
 //!
 //! Three rules, each enforcing a convention the codebase already relies on:
@@ -19,8 +20,10 @@
 //! * **`env-doc`** — every `RAVEN_*` variable mentioned anywhere in the
 //!   sources must have a row in the authoritative environment-variable
 //!   table in the facade crate's `src/lib.rs` (the section starting
-//!   `//! ## Environment variables`), so the table can never silently go
-//!   stale.
+//!   `//! ## Environment variables`), and every row of that table must name
+//!   a variable that some file under `crates/*/src` or `tests/` still
+//!   mentions, so the table can go stale in neither direction (a deleted
+//!   knob cannot leave its row behind).
 //!
 //! The scanner is lexical, not syntactic: comments and string/char literals
 //! are blanked by a small Rust lexer (newlines preserved, so reported line
@@ -73,17 +76,32 @@ pub fn lint_repo(root: &Path) -> std::io::Result<Vec<Violation>> {
     if facade_src.is_dir() {
         collect_rs(&facade_src, &mut files)?;
     }
+
+    let tests_dir = root.join("tests");
+    if tests_dir.is_dir() {
+        collect_rs(&tests_dir, &mut files)?;
+    }
     files.sort();
 
     let doc_table = std::fs::read_to_string(root.join("src/lib.rs")).unwrap_or_default();
     let documented = documented_env_vars(&doc_table);
 
     let mut out = Vec::new();
+    // every RAVEN_* token anywhere (tests and comments included) in the
+    // files a table row may be kept alive by
+    let mut mentioned: Vec<String> = Vec::new();
     for path in &files {
         let text = std::fs::read_to_string(path)?;
         let rel = path.strip_prefix(root).unwrap_or(path).to_path_buf();
-        out.extend(lint_file(&rel, &text, &documented));
+        let is_test = rel.starts_with("tests");
+        if is_test || rel.starts_with("crates") {
+            mentioned.extend(raven_tokens(&text));
+        }
+        if !is_test {
+            out.extend(lint_file(&rel, &text, &documented));
+        }
     }
+    out.extend(stale_env_rows(&doc_table, &mentioned));
     Ok(out)
 }
 
@@ -117,22 +135,55 @@ pub fn lint_file(rel: &Path, text: &str, documented: &[String]) -> Vec<Violation
     out
 }
 
-/// The `RAVEN_*` names declared in the facade `src/lib.rs` env-var table:
-/// every token in the doc section from `//! ## Environment variables` to the
-/// next `//! ##` heading (or end of file).
-pub fn documented_env_vars(lib_rs: &str) -> Vec<String> {
-    let Some(start) = lib_rs.find("//! ## Environment variables") else {
-        return Vec::new();
-    };
+/// The env-var table section of the facade `src/lib.rs`: from
+/// `//! ## Environment variables` to the next `//! ##` heading (or end of
+/// file), with its byte offset in `lib_rs`.
+fn env_table_section(lib_rs: &str) -> Option<(usize, &str)> {
+    let start = lib_rs.find("//! ## Environment variables")?;
     let section = &lib_rs[start..];
     let end = section[4..]
         .find("//! ##")
         .map(|i| i + 4)
         .unwrap_or(section.len());
-    let mut vars = raven_tokens(&section[..end]);
+    Some((start, &section[..end]))
+}
+
+/// The `RAVEN_*` names declared in the facade `src/lib.rs` env-var table:
+/// every token in its doc section.
+pub fn documented_env_vars(lib_rs: &str) -> Vec<String> {
+    let Some((_, section)) = env_table_section(lib_rs) else {
+        return Vec::new();
+    };
+    let mut vars = raven_tokens(section);
     vars.sort();
     vars.dedup();
     vars
+}
+
+/// The reverse `env-doc` direction: one violation (reported at the row's
+/// line in `src/lib.rs`) per variable the env-var table documents that no
+/// entry of `mentioned` — the `RAVEN_*` tokens found under `crates/*/src`
+/// and `tests/` — names any more.
+pub fn stale_env_rows(lib_rs: &str, mentioned: &[String]) -> Vec<Violation> {
+    let Some((start, section)) = env_table_section(lib_rs) else {
+        return Vec::new();
+    };
+    raven_tokens(section)
+        .into_iter()
+        .filter(|var| !mentioned.contains(var))
+        .map(|var| {
+            let pos = start + section.find(&var).unwrap_or(0);
+            Violation {
+                file: PathBuf::from("src/lib.rs"),
+                line: line_of(lib_rs, pos),
+                rule: "env-doc",
+                message: format!(
+                    "`{var}` has a row in the environment-variable table but no file under \
+                     crates/*/src or tests/ mentions it; delete the stale row"
+                ),
+            }
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -492,6 +543,21 @@ mod tests {
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].rule, "env-doc");
         assert!(v[0].message.contains("RAVEN_UNDOCUMENTED"));
+    }
+
+    #[test]
+    fn env_doc_rule_flags_stale_table_rows() {
+        let lib = "//! ## Environment variables\n//!\n//! | `RAVEN_SCORER=interpreted` | x |\n//! | `RAVEN_GONE=on` | y |\n//!\n//! ## Quickstart\n";
+        let mentioned = vec!["RAVEN_SCORER".to_string(), "RAVEN_ELSEWHERE".into()];
+        let v = stale_env_rows(lib, &mentioned);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].rule, "env-doc");
+        assert_eq!(v[0].file, PathBuf::from("src/lib.rs"));
+        assert_eq!(v[0].line, 4);
+        assert!(v[0].message.contains("RAVEN_GONE"));
+        // every row still mentioned: clean
+        let all = vec!["RAVEN_SCORER".to_string(), "RAVEN_GONE".into()];
+        assert!(stale_env_rows(lib, &all).is_empty());
     }
 
     #[test]

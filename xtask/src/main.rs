@@ -2,7 +2,8 @@
 //!
 //! Scans `crates/*/src` and `src/` (tests excluded) for the three repo
 //! invariants documented in [`xtask`] (the library crate): `env-read`,
-//! `serve-panic`, and `env-doc`. Prints one `path:line: [rule] message`
+//! `serve-panic`, and `env-doc` (which also reads `tests/` to flag
+//! env-table rows no file mentions any more). Prints one `path:line: [rule] message`
 //! per violation and exits non-zero if any were found.
 
 use std::path::Path;
