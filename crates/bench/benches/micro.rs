@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use raven_core::{pipeline_to_sql, RavenConfig, RavenSession, RuntimePolicy, TransformChoice};
-use raven_datagen::hospital;
+use raven_datagen::{credit_card, hospital};
 use raven_ml::{MlRuntime, ModelType};
 use raven_relational::{col, evaluate, lit, Catalog, ExecutionContext, Executor, LogicalPlan};
 use raven_tensor::{compile_ensemble, Strategy};
@@ -18,6 +18,23 @@ fn bench_expression_eval(c: &mut Criterion) {
         .add(col("bmi").mul(lit(0.2)))
         .gt(lit(9.0));
     c.bench_function("expression_eval_20k_rows", |b| {
+        b.iter(|| evaluate(&expr, &batch).unwrap())
+    });
+}
+
+/// The MLtoSQL expression of a depth-8 decision tree (a nested CASE over
+/// scaled features) on 30 000 credit_card rows: each row should cost one
+/// WHEN per tree level, not one pass per tree node.
+fn bench_nested_case(c: &mut Criterion) {
+    let dataset = credit_card(30_000, 6);
+    let pipeline = raven_bench::train_dataset_pipeline(
+        &dataset,
+        ModelType::DecisionTree { max_depth: 8 },
+        "bench_dt8",
+    );
+    let batch = dataset.tables[0].to_batch().unwrap();
+    let expr = pipeline_to_sql(&pipeline).unwrap();
+    c.bench_function("nested_case_dt8_30k", |b| {
         b.iter(|| evaluate(&expr, &batch).unwrap())
     });
 }
@@ -149,6 +166,6 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_expression_eval, bench_hash_join, bench_model_inference, bench_optimizer, bench_end_to_end
+    targets = bench_expression_eval, bench_nested_case, bench_hash_join, bench_model_inference, bench_optimizer, bench_end_to_end
 }
 criterion_main!(benches);

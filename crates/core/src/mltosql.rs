@@ -231,6 +231,12 @@ mod tests {
     use raven_relational::evaluate;
 
     fn training_batch(n: usize) -> raven_columnar::Batch {
+        noisy_training_batch(n, 0.0)
+    }
+
+    /// [`training_batch`] with each label flipped with probability `flip`,
+    /// so trees keep splitting down to their depth limit.
+    fn noisy_training_batch(n: usize, flip: f64) -> raven_columnar::Batch {
         let mut rng = StdRng::seed_from_u64(21);
         let age: Vec<f64> = (0..n).map(|_| rng.gen_range(20.0..90.0)).collect();
         let income: Vec<f64> = (0..n).map(|_| rng.gen_range(10.0..200.0)).collect();
@@ -242,7 +248,8 @@ mod tests {
                 let v = 0.05 * (age[i] - 50.0)
                     + 0.01 * income[i]
                     + if city[i] == "sea" { 1.0 } else { 0.0 };
-                if v > 0.8 {
+                let flipped = flip > 0.0 && rng.gen_bool(flip);
+                if (v > 0.8) != flipped {
                     1.0
                 } else {
                     0.0
@@ -269,8 +276,7 @@ mod tests {
         }
     }
 
-    fn assert_sql_matches_runtime(model: ModelType, tol: f64) {
-        let batch = training_batch(250);
+    fn assert_sql_matches_runtime(model: ModelType, tol: f64, batch: raven_columnar::Batch) {
         let pipeline = train_pipeline(&batch, &spec(model)).unwrap();
         let expr = pipeline_to_sql(&pipeline).unwrap();
         let sql_scores = evaluate(&expr, &batch).unwrap().to_f64_vec().unwrap();
@@ -288,12 +294,20 @@ mod tests {
 
     #[test]
     fn logistic_regression_to_sql_matches() {
-        assert_sql_matches_runtime(ModelType::LogisticRegression { l1_alpha: 0.01 }, 1e-9);
+        assert_sql_matches_runtime(
+            ModelType::LogisticRegression { l1_alpha: 0.01 },
+            1e-9,
+            training_batch(250),
+        );
     }
 
     #[test]
     fn decision_tree_to_sql_matches() {
-        assert_sql_matches_runtime(ModelType::DecisionTree { max_depth: 6 }, 1e-9);
+        assert_sql_matches_runtime(
+            ModelType::DecisionTree { max_depth: 6 },
+            1e-9,
+            training_batch(250),
+        );
     }
 
     #[test]
@@ -304,6 +318,7 @@ mod tests {
                 max_depth: 4,
             },
             1e-9,
+            training_batch(250),
         );
     }
 
@@ -316,7 +331,18 @@ mod tests {
                 learning_rate: 0.2,
             },
             1e-9,
+            training_batch(250),
         );
+    }
+
+    /// A depth-12 tree grown on noisy labels (over a thousand nodes) and
+    /// scored on a few thousand rows: cheap when CASE arms run only on the
+    /// rows that reach them, thousands of full-batch passes when every node
+    /// is evaluated over every row, so a regression shows as a slow test.
+    #[test]
+    fn deep_decision_tree_to_sql_matches() {
+        let batch = noisy_training_batch(4000, 0.3);
+        assert_sql_matches_runtime(ModelType::DecisionTree { max_depth: 12 }, 1e-9, batch);
     }
 
     #[test]

@@ -2,9 +2,20 @@
 //!
 //! Evaluation is columnar: each expression node produces a whole column at a
 //! time. Numeric operations run over `f64` kernels; comparisons support both
-//! numeric and string operands; `CASE` evaluates all branches and selects
-//! per-row (branch expressions in prediction queries are cheap arithmetic, so
-//! this is the standard columnar trade-off).
+//! numeric and string operands.
+//!
+//! ## Selection-vector CASE
+//!
+//! Every node is evaluated under a [`SelectionVector`] naming the batch rows
+//! it must produce values for (the public entry points select all rows), and
+//! returns one value per selected row. `CASE` narrows the selection in the
+//! MonetDB/X100 style: each WHEN runs only on the rows no earlier WHEN took,
+//! each THEN only on the rows its WHEN took, and the ELSE on the rest. Arm
+//! results are scattered straight into one typed output column; literal arms
+//! (every MLtoSQL tree leaf) are filled as scalars. A nested CASE from a
+//! depth-d tree therefore visits each row d times, not once per tree node.
+//! The result type is the arms' common type: `Float64` for an
+//! `Int64`/`Float64` mix, an error for any other mix.
 //!
 //! ## Fused kernels and buffer reuse
 //!
@@ -29,7 +40,7 @@
 
 use crate::error::{RelationalError, Result};
 use crate::expr::{BinaryOp, Expr, ScalarFunc};
-use raven_columnar::{Batch, Column, ColumnRef, DataType, Value};
+use raven_columnar::{Batch, Column, ColumnRef, DataType, SelectionVector, Value};
 use std::cell::RefCell;
 use std::sync::Arc;
 
@@ -74,7 +85,7 @@ enum Operand {
 }
 
 impl Operand {
-    fn eval(expr: &Expr, batch: &Batch) -> Result<Operand> {
+    fn eval(expr: &Expr, batch: &Batch, sel: &SelectionVector) -> Result<Operand> {
         match expr {
             Expr::Literal(v) => Ok(match v {
                 Value::Float64(x) => Operand::Num(*x),
@@ -83,8 +94,8 @@ impl Operand {
                 Value::Boolean(b) => Operand::Bool(*b),
                 Value::Null => Operand::Num(f64::NAN),
             }),
-            Expr::Alias { expr, .. } => Operand::eval(expr, batch),
-            other => Ok(Operand::Col(evaluate(other, batch)?)),
+            Expr::Alias { expr, .. } => Operand::eval(expr, batch, sel),
+            other => Ok(Operand::Col(eval_sel(other, batch, sel)?)),
         }
     }
 
@@ -194,16 +205,16 @@ fn str_view(op: &Operand) -> Result<StrView<'_>> {
     })
 }
 
-/// Validate operand lengths against the batch row count and resolve the
-/// kernel's output length (columns must agree; two scalars span the batch).
-fn kernel_rows(l: &Operand, r: &Operand, batch_rows: usize) -> Result<usize> {
+/// Validate operand lengths and resolve the kernel's output length (columns
+/// must agree; two scalars span the selected rows).
+fn kernel_rows(l: &Operand, r: &Operand, selected_rows: usize) -> Result<usize> {
     match (l.len(), r.len()) {
         (Some(a), Some(b)) if a != b => Err(RelationalError::Evaluation(format!(
             "operand length mismatch: {a} vs {b}"
         ))),
         (Some(a), _) => Ok(a),
         (_, Some(b)) => Ok(b),
-        (None, None) => Ok(batch_rows),
+        (None, None) => Ok(selected_rows),
     }
 }
 
@@ -237,19 +248,32 @@ fn apply_cmp(op: BinaryOp, x: f64, y: f64) -> bool {
 
 /// Evaluate `expr` against `batch`, producing one value per row.
 pub fn evaluate(expr: &Expr, batch: &Batch) -> Result<ColumnRef> {
+    eval_sel(expr, batch, &SelectionVector::all(batch.num_rows()))
+}
+
+/// Evaluate `expr` on the rows of `batch` that `sel` selects, producing one
+/// value per selected row, in selection order.
+fn eval_sel(expr: &Expr, batch: &Batch, sel: &SelectionVector) -> Result<ColumnRef> {
     match expr {
-        Expr::Column(name) => Ok(batch.column_by_name(name)?.clone()),
-        Expr::Literal(v) => Ok(Arc::new(Column::from_value(v, batch.num_rows())?)),
-        Expr::Alias { expr, .. } => evaluate(expr, batch),
+        Expr::Column(name) => {
+            let c = batch.column_by_name(name)?;
+            if sel.is_all() {
+                Ok(c.clone())
+            } else {
+                Ok(Arc::new(c.gather(sel)?))
+            }
+        }
+        Expr::Literal(v) => Ok(Arc::new(Column::from_value(v, sel.len())?)),
+        Expr::Alias { expr, .. } => eval_sel(expr, batch, sel),
         Expr::Not(_) | Expr::IsNull(_) => {
-            Ok(Arc::new(Column::Boolean(evaluate_predicate(expr, batch)?)))
+            Ok(Arc::new(Column::Boolean(predicate_sel(expr, batch, sel)?)))
         }
         Expr::Cast { expr, to } => {
-            let v = evaluate(expr, batch)?;
+            let v = eval_sel(expr, batch, sel)?;
             cast_column(&v, *to)
         }
         Expr::ScalarFunction { func, arg } => {
-            let v = evaluate(arg, batch)?;
+            let v = eval_sel(arg, batch, sel)?;
             let f = |x: f64| match func {
                 ScalarFunc::Exp => x.exp(),
                 ScalarFunc::Ln => {
@@ -299,39 +323,145 @@ pub fn evaluate(expr: &Expr, batch: &Batch) -> Result<ColumnRef> {
         }
         Expr::Binary { left, op, right } => {
             if matches!(op, BinaryOp::And | BinaryOp::Or) || op.is_predicate() {
-                return Ok(Arc::new(Column::Boolean(evaluate_predicate(expr, batch)?)));
+                return Ok(Arc::new(Column::Boolean(predicate_sel(expr, batch, sel)?)));
             }
-            let l = Operand::eval(left, batch)?;
-            let r = Operand::eval(right, batch)?;
-            arithmetic_kernel(l, *op, r, batch.num_rows())
+            let l = Operand::eval(left, batch, sel)?;
+            let r = Operand::eval(right, batch, sel)?;
+            arithmetic_kernel(l, *op, r, sel.len())
         }
         Expr::Case {
             when_then,
             else_expr,
-        } => {
-            let rows = batch.num_rows();
-            let mut result: Vec<Value> = vec![Value::Null; rows];
-            let mut decided = vec![false; rows];
-            for (when, then) in when_then {
-                let cond = evaluate_predicate(when, batch)?;
-                let then_col = evaluate(then, batch)?;
-                for i in 0..rows {
-                    if !decided[i] && cond[i] {
-                        result[i] = then_col.value(i)?;
-                        decided[i] = true;
+        } => case_sel(when_then, else_expr, batch, sel),
+    }
+}
+
+/// A CASE arm's values and the positions of the CASE output they fill.
+struct Arm {
+    values: ColumnRef,
+    /// A literal arm: `values` holds the one literal, broadcast to every
+    /// position.
+    scalar: bool,
+    positions: Vec<u32>,
+}
+
+/// Batch rows still in play inside a CASE, paired with the output position
+/// each one's result lands on (a nested CASE's selection is a subset of the
+/// batch, so the two differ).
+type Rows = (SelectionVector, Vec<u32>);
+
+/// `CASE` under a selection: each WHEN is evaluated on the still-undecided
+/// rows only, each arm on the rows that reach it. An arm no row reaches is
+/// still evaluated (on the empty selection), so type errors do not depend on
+/// the data.
+fn case_sel(
+    when_then: &[(Expr, Expr)],
+    else_expr: &Expr,
+    batch: &Batch,
+    sel: &SelectionVector,
+) -> Result<ColumnRef> {
+    #[cfg(test)]
+    if reference::active() {
+        return reference::case(when_then, else_expr, batch, sel);
+    }
+    let mut undecided: Rows = (sel.clone(), (0..sel.len() as u32).collect());
+    let mut arms = Vec::with_capacity(when_then.len() + 1);
+    for (when, then) in when_then {
+        let cond = predicate_sel(when, batch, &undecided.0)?;
+        let (hit, rest) = split(&undecided, &cond)?;
+        recycle_mask(cond);
+        arms.push(eval_arm(then, batch, hit)?);
+        undecided = rest;
+    }
+    arms.push(eval_arm(else_expr, batch, undecided)?);
+    scatter_arms(&arms, sel.len())
+}
+
+/// Split `rows` by a mask aligned with its selection: the rows where the
+/// mask holds, and the rest.
+fn split((sel, positions): &Rows, mask: &[bool]) -> Result<(Rows, Rows)> {
+    debug_assert_eq!(mask.len(), sel.len());
+    let hits = mask.iter().filter(|&&m| m).count();
+    let mut hit = (Vec::with_capacity(hits), Vec::with_capacity(hits));
+    let mut miss = (
+        Vec::with_capacity(mask.len() - hits),
+        Vec::with_capacity(mask.len() - hits),
+    );
+    for ((row, &pos), &m) in sel.iter().zip(positions).zip(mask) {
+        let side = if m { &mut hit } else { &mut miss };
+        side.0.push(row as u32);
+        side.1.push(pos);
+    }
+    let source = sel.source_len();
+    Ok((
+        (SelectionVector::from_indices(source, hit.0)?, hit.1),
+        (SelectionVector::from_indices(source, miss.0)?, miss.1),
+    ))
+}
+
+fn eval_arm(expr: &Expr, batch: &Batch, (sel, positions): Rows) -> Result<Arm> {
+    let (values, scalar) = match expr {
+        Expr::Literal(v) => (Arc::new(Column::from_value(v, 1)?), true),
+        other => (eval_sel(other, batch, &sel)?, false),
+    };
+    Ok(Arm {
+        values,
+        scalar,
+        positions,
+    })
+}
+
+/// Write every arm's values to its positions of a `rows`-long column of the
+/// arms' common type.
+fn scatter_arms(arms: &[Arm], rows: usize) -> Result<ColumnRef> {
+    let dt = case_type(arms.iter().map(|a| a.values.data_type()))?;
+    macro_rules! scatter {
+        ($variant:ident, $as:ident, $init:expr, $clone:expr) => {{
+            let mut out = vec![$init; rows];
+            for arm in arms {
+                let widened;
+                let col = if arm.values.data_type() == dt {
+                    arm.values.as_ref()
+                } else {
+                    widened = Column::Float64(arm.values.to_f64_vec()?);
+                    &widened
+                };
+                let vals = col.$as()?;
+                if arm.scalar {
+                    for &p in &arm.positions {
+                        out[p as usize] = $clone(&vals[0]);
+                    }
+                } else {
+                    for (&p, v) in arm.positions.iter().zip(vals) {
+                        out[p as usize] = $clone(v);
                     }
                 }
-                recycle_mask(cond);
             }
-            let else_col = evaluate(else_expr, batch)?;
-            for i in 0..rows {
-                if !decided[i] {
-                    result[i] = else_col.value(i)?;
-                }
-            }
-            Ok(Arc::new(Column::from_values(&result)?))
-        }
+            Column::$variant(out)
+        }};
     }
+    Ok(Arc::new(match dt {
+        DataType::Float64 => scatter!(Float64, as_f64, 0.0, |x: &f64| *x),
+        DataType::Int64 => scatter!(Int64, as_i64, 0, |x: &i64| *x),
+        DataType::Boolean => scatter!(Boolean, as_bool, false, |x: &bool| *x),
+        DataType::Utf8 => scatter!(Utf8, as_utf8, String::new(), |x: &String| x.clone()),
+    }))
+}
+
+/// The result type of a CASE whose arms have the types `arms`: their shared
+/// type, `Float64` for a mix of `Int64` and `Float64`, an error otherwise.
+fn case_type(arms: impl IntoIterator<Item = DataType>) -> Result<DataType> {
+    let mut arms = arms.into_iter();
+    let first = arms.next().unwrap_or(DataType::Float64);
+    arms.try_fold(first, |acc, t| match (acc, t) {
+        (a, b) if a == b => Ok(a),
+        (DataType::Int64 | DataType::Float64, DataType::Int64 | DataType::Float64) => {
+            Ok(DataType::Float64)
+        }
+        (a, b) => Err(RelationalError::Evaluation(format!(
+            "CASE arms have incompatible types {a} and {b}"
+        ))),
+    })
 }
 
 /// The fused arithmetic kernel (`+ - * /`). Integer-preserving when both
@@ -407,10 +537,15 @@ fn arithmetic_alloc(l: &Operand, op: BinaryOp, r: &Operand, rows: usize) -> Resu
 /// are recycled through a thread-local scratch pool; only the returned mask
 /// escapes.
 pub fn evaluate_predicate(expr: &Expr, batch: &Batch) -> Result<Vec<bool>> {
+    predicate_sel(expr, batch, &SelectionVector::all(batch.num_rows()))
+}
+
+/// [`evaluate_predicate`] on the rows `sel` selects: one flag per selected row.
+fn predicate_sel(expr: &Expr, batch: &Batch, sel: &SelectionVector) -> Result<Vec<bool>> {
     match expr {
-        Expr::Alias { expr, .. } => evaluate_predicate(expr, batch),
+        Expr::Alias { expr, .. } => predicate_sel(expr, batch, sel),
         Expr::Not(e) => {
-            let mut m = evaluate_predicate(e, batch)?;
+            let mut m = predicate_sel(e, batch, sel)?;
             for b in m.iter_mut() {
                 *b = !*b;
             }
@@ -427,7 +562,7 @@ pub fn evaluate_predicate(expr: &Expr, batch: &Batch) -> Result<Vec<bool>> {
         // Statistics (`ColumnStatistics::null_count`) count missing values
         // with exactly the same rule, keeping pruning and evaluation aligned.
         Expr::IsNull(e) => {
-            let v = evaluate(e, batch)?;
+            let v = eval_sel(e, batch, sel)?;
             let mut mask = rent_mask(v.len());
             match v.as_ref() {
                 Column::Float64(vals) => mask.extend(vals.iter().map(|x| x.is_nan())),
@@ -438,8 +573,8 @@ pub fn evaluate_predicate(expr: &Expr, batch: &Batch) -> Result<Vec<bool>> {
             Ok(mask)
         }
         Expr::Binary { left, op, right } if matches!(op, BinaryOp::And | BinaryOp::Or) => {
-            let mut l = evaluate_predicate(left, batch)?;
-            let r = evaluate_predicate(right, batch)?;
+            let mut l = predicate_sel(left, batch, sel)?;
+            let r = predicate_sel(right, batch, sel)?;
             if l.len() != r.len() {
                 return Err(RelationalError::Evaluation(format!(
                     "operand length mismatch: {} vs {}",
@@ -460,9 +595,9 @@ pub fn evaluate_predicate(expr: &Expr, batch: &Batch) -> Result<Vec<bool>> {
             Ok(l)
         }
         Expr::Binary { left, op, right } if op.is_predicate() => {
-            let l = Operand::eval(left, batch)?;
-            let r = Operand::eval(right, batch)?;
-            let rows = kernel_rows(&l, &r, batch.num_rows())?;
+            let l = Operand::eval(left, batch, sel)?;
+            let r = Operand::eval(right, batch, sel)?;
+            let rows = kernel_rows(&l, &r, sel.len())?;
             let mut out = rent_mask(rows);
             if l.is_string() && r.is_string() {
                 let lv = str_view(&l)?;
@@ -486,9 +621,9 @@ pub fn evaluate_predicate(expr: &Expr, batch: &Batch) -> Result<Vec<bool>> {
             }
             Ok(out)
         }
-        Expr::Literal(Value::Boolean(b)) => Ok(vec![*b; batch.num_rows()]),
+        Expr::Literal(Value::Boolean(b)) => Ok(vec![*b; sel.len()]),
         other => {
-            let col = evaluate(other, batch)?;
+            let col = eval_sel(other, batch, sel)?;
             mask_from_column(col)
         }
     }
@@ -530,10 +665,17 @@ pub fn expr_data_type(expr: &Expr, lookup: &dyn Fn(&str) -> Option<DataType>) ->
         Expr::Case {
             when_then,
             else_expr,
-        } => when_then
-            .first()
-            .map(|(_, t)| expr_data_type(t, lookup))
-            .unwrap_or_else(|| expr_data_type(else_expr, lookup)),
+        } => {
+            let arms: Vec<DataType> = when_then
+                .iter()
+                .map(|(_, t)| t)
+                .chain(std::iter::once(else_expr.as_ref()))
+                .map(|e| expr_data_type(e, lookup))
+                .collect();
+            // an incompatible mix fails at evaluation; the plan keeps the
+            // first arm's type
+            case_type(arms.iter().copied()).unwrap_or(arms[0])
+        }
     }
 }
 
@@ -659,11 +801,84 @@ fn compare_ord(ord: std::cmp::Ordering, op: BinaryOp) -> bool {
     }
 }
 
+/// The evaluator before selection vectors, kept as the parity oracle:
+/// every WHEN, THEN and ELSE runs over the whole batch and the result is
+/// assembled row by row from boxed [`Value`]s.
+#[cfg(test)]
+mod reference {
+    use super::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        static ACTIVE: Cell<bool> = const { Cell::new(false) };
+    }
+
+    pub(super) fn active() -> bool {
+        ACTIVE.get()
+    }
+
+    /// [`super::evaluate`] with every CASE, at any depth, evaluated the
+    /// reference way.
+    pub(super) fn evaluate(expr: &Expr, batch: &Batch) -> Result<ColumnRef> {
+        ACTIVE.set(true);
+        let out = super::evaluate(expr, batch);
+        ACTIVE.set(false);
+        out
+    }
+
+    pub(super) fn case(
+        when_then: &[(Expr, Expr)],
+        else_expr: &Expr,
+        batch: &Batch,
+        sel: &SelectionVector,
+    ) -> Result<ColumnRef> {
+        // only the selection-vector CASE narrows a selection
+        assert!(sel.is_all());
+        let rows = batch.num_rows();
+        let mut result: Vec<Value> = vec![Value::Null; rows];
+        let mut decided = vec![false; rows];
+        for (when, then) in when_then {
+            let cond = super::evaluate_predicate(when, batch)?;
+            let then_col = super::evaluate(then, batch)?;
+            for i in 0..rows {
+                if !decided[i] && cond[i] {
+                    result[i] = then_col.value(i)?;
+                    decided[i] = true;
+                }
+            }
+            recycle_mask(cond);
+        }
+        let else_col = super::evaluate(else_expr, batch)?;
+        for i in 0..rows {
+            if !decided[i] {
+                result[i] = else_col.value(i)?;
+            }
+        }
+        Ok(Arc::new(Column::from_values(&result)?))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::expr::{case, col, lit};
+    use proptest::prelude::*;
     use raven_columnar::TableBuilder;
+
+    /// Evaluate with the selection-vector CASE and assert that the reference
+    /// evaluator agrees bit for bit.
+    fn eval_checked(e: &Expr, b: &Batch) -> ColumnRef {
+        let got = evaluate(e, b).unwrap();
+        let want = reference::evaluate(e, b).unwrap();
+        match (got.as_ref(), want.as_ref()) {
+            (Column::Float64(x), Column::Float64(y)) => {
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(x), bits(y), "{e}");
+            }
+            (x, y) => assert_eq!(x, y, "{e}"),
+        }
+        got
+    }
 
     fn batch() -> Batch {
         TableBuilder::new("t")
@@ -763,7 +978,7 @@ mod tests {
             ],
             lit("minor"),
         );
-        let c = evaluate(&e, &b).unwrap();
+        let c = eval_checked(&e, &b);
         assert_eq!(
             c.as_utf8().unwrap(),
             &[
@@ -785,8 +1000,162 @@ mod tests {
             )],
             case(vec![(col("asthma").eq(lit(1i64)), lit(1.0))], lit(0.0)),
         );
-        let c = evaluate(&e, &b).unwrap();
+        let c = eval_checked(&e, &b);
         assert_eq!(c.as_f64().unwrap(), &[1.0, 1.0, 0.0]);
+    }
+
+    /// The CASE result type follows the arms, not the arm row 0 takes: an
+    /// Int64/Float64 mix is Float64 in either row order, and planning agrees.
+    #[test]
+    fn case_type_does_not_depend_on_row_order() {
+        let e = case(vec![(col("x").gt(lit(0.0)), lit(1i64))], lit(0.5));
+        for xs in [vec![1.0, -1.0], vec![-1.0, 1.0]] {
+            let b = TableBuilder::new("t")
+                .add_f64("x", xs.clone())
+                .build_batch()
+                .unwrap();
+            let want: Vec<f64> = xs
+                .iter()
+                .map(|&x| if x > 0.0 { 1.0 } else { 0.5 })
+                .collect();
+            assert_eq!(evaluate(&e, &b).unwrap().as_f64().unwrap(), want);
+            // any other mix is an error, even when no row takes the odd arm
+            let mixed = case(vec![(col("x").gt(lit(9.0)), lit("big"))], lit(0.5));
+            assert!(evaluate(&mixed, &b).is_err());
+        }
+        let lookup = |_: &str| Some(DataType::Float64);
+        assert_eq!(expr_data_type(&e, &lookup), DataType::Float64);
+        let ints = case(vec![(col("x").gt(lit(0.0)), lit(1i64))], lit(2i64));
+        assert_eq!(expr_data_type(&ints, &lookup), DataType::Int64);
+    }
+
+    /// A type error in an arm no row reaches still fails, in both evaluators,
+    /// also when the arm sits in a nested CASE under a partial selection.
+    #[test]
+    fn unreached_arm_type_error_fails_both_evaluators() {
+        let b = batch();
+        let bad = case(
+            vec![(col("age").gt(lit(1e9)), col("state").sub(lit(1.0)))],
+            lit(0.0),
+        );
+        let nested = case(vec![(col("age").gt(lit(60.0)), bad.clone())], lit(1.0));
+        for e in [bad, nested] {
+            assert!(evaluate(&e, &b).is_err(), "{e}");
+            assert!(reference::evaluate(&e, &b).is_err(), "{e}");
+        }
+    }
+
+    #[derive(Clone, Copy)]
+    enum ArmKind {
+        Float,
+        Int,
+        Utf8,
+        Bool,
+    }
+
+    fn pick(rng: &mut TestRng, n: usize) -> usize {
+        (rng.next_u64() % n as u64) as usize
+    }
+
+    fn random_batch(rng: &mut TestRng, rows: usize) -> Batch {
+        let mut b = TableBuilder::new("t");
+        for name in ["f0", "f1", "f2"] {
+            let v = (0..rows)
+                .map(|_| match rng.next_f64() < 0.1 {
+                    true => f64::NAN,
+                    false => rng.next_f64() * 6.0 - 3.0,
+                })
+                .collect();
+            b = b.add_f64(name, v);
+        }
+        let ints = (0..rows).map(|_| pick(rng, 11) as i64 - 5).collect();
+        let strs = (0..rows)
+            .map(|_| ["a", "b", "c", ""][pick(rng, 4)].to_string())
+            .collect();
+        b.add_i64("i0", ints)
+            .add_utf8("s0", strs)
+            .build_batch()
+            .unwrap()
+    }
+
+    /// MLtoSQL's scaled feature `(c - off) * s`, or a raw column.
+    fn feature(rng: &mut TestRng) -> Expr {
+        let c = col(["f0", "f1", "f2"][pick(rng, 3)]);
+        if rng.next_f64() < 0.5 {
+            c.sub(lit(rng.next_f64() - 0.5))
+                .mul(lit(0.5 + rng.next_f64()))
+        } else {
+            c
+        }
+    }
+
+    fn condition(rng: &mut TestRng, depth: usize) -> Expr {
+        match pick(rng, 10) {
+            // never true: the arm is reached by no row
+            0 => lit(false),
+            1 => feature(rng).gt(lit(100.0)),
+            2 => col("s0").eq(lit("a")),
+            3 => col("i0").lt_eq(lit(pick(rng, 7) as i64 - 3)),
+            4 => feature(rng).is_null(),
+            // a CASE inside a condition, evaluated under the undecided rows
+            5 if depth > 0 => nested_case(rng, ArmKind::Float, depth.min(2)).gt(lit(0.0)),
+            _ => feature(rng).lt_eq(lit(rng.next_f64() * 4.0 - 2.0)),
+        }
+    }
+
+    fn leaf(rng: &mut TestRng, kind: ArmKind) -> Expr {
+        let literal = rng.next_f64() < 0.7;
+        match kind {
+            ArmKind::Float if rng.next_f64() < 0.05 => lit(f64::NAN),
+            ArmKind::Float if literal => lit(rng.next_f64() * 10.0 - 5.0),
+            ArmKind::Float => feature(rng),
+            ArmKind::Int if literal => lit(pick(rng, 1000) as i64 - 500),
+            ArmKind::Int => col("i0").mul(lit(3i64)),
+            ArmKind::Utf8 if literal => lit(["x", "y", "z"][pick(rng, 3)]),
+            ArmKind::Utf8 => col("s0"),
+            ArmKind::Bool if literal => lit(rng.next_f64() < 0.5),
+            ArmKind::Bool => feature(rng).gt(lit(0.0)),
+        }
+    }
+
+    /// A CASE of depth up to `depth` whose arms all have one type: several
+    /// WHENs near the leaves, MLtoSQL's binary split above.
+    fn nested_case(rng: &mut TestRng, kind: ArmKind, depth: usize) -> Expr {
+        if depth == 0 || rng.next_f64() < 0.1 {
+            return leaf(rng, kind);
+        }
+        let whens = if depth <= 2 { 1 + pick(rng, 3) } else { 1 };
+        let when_then = (0..whens)
+            .map(|_| (condition(rng, depth - 1), nested_case(rng, kind, depth - 1)))
+            .collect();
+        case(when_then, nested_case(rng, kind, depth - 1))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        /// The selection-vector CASE is bitwise-equal to the reference on
+        /// generated nested CASEs of depth 1-10 over NaN-bearing data, alone
+        /// and summed the way MLtoSQL combines ensemble trees.
+        #[test]
+        fn selection_vector_case_matches_reference(seed in 0u64..1_000_000, rows in 1usize..120) {
+            let mut rng = TestRng::deterministic(&format!("case-{seed}"));
+            let b = random_batch(&mut rng, rows);
+            for depth in 1..=10 {
+                for kind in [ArmKind::Float, ArmKind::Int, ArmKind::Utf8, ArmKind::Bool] {
+                    let e = nested_case(&mut rng, kind, depth);
+                    eval_checked(&e, &b);
+                    if let ArmKind::Bool = kind {
+                        let mask = evaluate_predicate(&e, &b).unwrap();
+                        prop_assert_eq!(&mask, evaluate(&e, &b).unwrap().as_bool().unwrap());
+                    }
+                }
+                let sum = nested_case(&mut rng, ArmKind::Float, depth)
+                    .add(nested_case(&mut rng, ArmKind::Float, depth))
+                    .mul(lit(0.1));
+                eval_checked(&sum, &b);
+            }
+        }
     }
 
     #[test]
