@@ -92,14 +92,14 @@ fn bench_fused_pipeline(c: &mut Criterion) {
         group.bench_function(format!("per-operator/{label}"), |b| {
             force_fusion(Some(false));
             b.iter(|| {
-                rt.run_batch_chunked_compiled(&compiled, &batch)
+                rt.run_batch_compiled(&compiled, &batch)
                     .expect("per-operator scoring")
             });
             force_fusion(None);
         });
         group.bench_function(format!("fused/{label}"), |b| {
             b.iter(|| {
-                rt.run_batch_chunked_compiled(&compiled, &batch)
+                rt.run_batch_compiled(&compiled, &batch)
                     .expect("fused scoring")
             })
         });

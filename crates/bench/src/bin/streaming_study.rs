@@ -1,5 +1,6 @@
-//! Streaming partition-parallel pipeline vs. the legacy materialized plan on
-//! a partitioned Hospital workload (with and without a prunable predicate).
+//! Statistics partition pruning and partition-parallel scoring on a
+//! partitioned Hospital workload (with and without a prunable predicate):
+//! no pruning at dop 1 vs. pruning at the given dop.
 //! Usage: streaming_study [runs] [dop] [partitions] [rows]
 fn main() {
     let arg = |i: usize| std::env::args().nth(i).and_then(|s| s.parse().ok());

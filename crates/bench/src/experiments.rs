@@ -9,8 +9,8 @@ use crate::workload::{
 use raven_columnar::{partition_by_column, PartitionSpec};
 use raven_core::{
     apply_cross_optimizations, evaluate_strategy, pipeline_to_sql, stratified_folds, BaselineMode,
-    ClassificationStrategy, ExecutionMode, PipelineStats, RavenConfig, RegressionStrategy,
-    RuleBasedStrategy, RuntimePolicy, StrategyCorpus, StrategyObservation, TransformChoice,
+    ClassificationStrategy, PipelineStats, RavenConfig, RegressionStrategy, RuleBasedStrategy,
+    RuntimePolicy, StrategyCorpus, StrategyObservation, TransformChoice,
 };
 use raven_datagen::{credit_card, expedia, flights, generate_suite, hospital, SuiteConfig};
 use raven_ir::UnifiedPlan;
@@ -482,20 +482,21 @@ pub fn fig11_data_induced(rows: usize, runs: usize) {
 }
 
 // ---------------------------------------------------------------------------
-// Streaming pipeline study — streamed vs. materialized execution
+// Streaming pipeline study — statistics pruning and partition parallelism
 // ---------------------------------------------------------------------------
 
-/// Streaming partition-parallel execution vs. the legacy materialized plan on
-/// a partitioned Hospital workload: the `BatchStream` pipeline scores each
-/// partition as it arrives and prunes partitions via statistics, while the
-/// materialized baseline concatenates the full data side before scoring.
+/// Statistics partition pruning and partition-parallel scoring on a
+/// partitioned Hospital workload: the ML-runtime drive with data-induced
+/// optimizations off at dop 1 (every partition scanned and scored) vs. on at
+/// dop `dop` (partitions pruned by their min/max statistics).
 pub fn streaming_study(rows: usize, partitions: usize, dop: usize, runs: usize) {
     println!(
-        "# Streaming pipeline study — Hospital, {rows} rows, {partitions} range partitions, dop {dop} (ms)"
+        "# Streaming pipeline study — Hospital, {rows} rows, {partitions} range partitions (ms)"
     );
+    let pruned_header = format!("pruning, dop {dop}");
     println!(
-        "| {:<22} | {:>12} | {:>10} | {:>13} | {:>8} |",
-        "predicate", "materialized", "streaming", "pruned parts", "speedup"
+        "| {:<22} | {:>18} | {:>18} | {:>13} | {:>8} |",
+        "predicate", "no pruning, dop 1", pruned_header, "pruned parts", "speedup"
     );
     let dataset = hospital(rows, 2);
     let partitioned = partition_by_column(
@@ -521,13 +522,12 @@ pub fn streaming_study(rows: usize, partitions: usize, dop: usize, runs: usize) 
             *scenario.session.config_mut() = config;
             trimmed_mean_time(&scenario.session, &scenario.query, runs)
         };
-        let materialized = time_with(RavenConfig {
-            execution_mode: ExecutionMode::Materialized,
+        let unpruned = time_with(RavenConfig {
+            enable_data_induced: false,
             runtime_policy: RuntimePolicy::NoTransform,
             ..Default::default()
         });
-        let streaming = time_with(RavenConfig {
-            execution_mode: ExecutionMode::Streaming,
+        let pruned = time_with(RavenConfig {
             runtime_policy: RuntimePolicy::NoTransform,
             degree_of_parallelism: dop,
             ..Default::default()
@@ -538,13 +538,13 @@ pub fn streaming_study(rows: usize, partitions: usize, dop: usize, runs: usize) 
             .expect("report run")
             .report;
         println!(
-            "| {:<22} | {:>12} | {:>10} | {:>6}/{:<6} | {:>7.1}x |",
+            "| {:<22} | {:>18} | {:>18} | {:>6}/{:<6} | {:>7.1}x |",
             label,
-            ms(materialized),
-            ms(streaming),
+            ms(unpruned),
+            ms(pruned),
             report.pruned_partitions,
             partitions,
-            materialized.as_secs_f64() / streaming.as_secs_f64().max(1e-9)
+            unpruned.as_secs_f64() / pruned.as_secs_f64().max(1e-9)
         );
     }
 }
@@ -687,7 +687,7 @@ pub fn scoring_kernel_ab(
 /// featurizers + intermediate matrices + flat tree kernels) vs the PR 5
 /// fused pass (featurizers folded into the feature-lane transpose, model
 /// kernel fed lanes in place). Both sides run the identical
-/// `run_batch_chunked_compiled` entry point; only the fusion override
+/// `run_batch_compiled` entry point; only the fusion override
 /// differs.
 pub struct FusedPipelineAb {
     /// Rows scored per iteration.
@@ -719,14 +719,14 @@ pub fn fused_pipeline_ab(
     force_fusion(Some(false));
     let unfused_rows_per_sec = measure(&mut || {
         std::hint::black_box(
-            rt.run_batch_chunked_compiled(&compiled, batch)
+            rt.run_batch_compiled(&compiled, batch)
                 .expect("unfused scoring"),
         );
     });
     force_fusion(None);
     let fused_rows_per_sec = measure(&mut || {
         std::hint::black_box(
-            rt.run_batch_chunked_compiled(&compiled, batch)
+            rt.run_batch_compiled(&compiled, batch)
                 .expect("fused scoring"),
         );
     });
@@ -2836,20 +2836,20 @@ mod tests {
         );
         scenario.session.register_table(partitioned);
         *scenario.session.config_mut() = RavenConfig {
-            execution_mode: ExecutionMode::Streaming,
             runtime_policy: RuntimePolicy::NoTransform,
             degree_of_parallelism: 4,
             ..Default::default()
         };
-        let streamed = scenario.session.sql(&scenario.query).unwrap();
-        assert!(streamed.report.pruned_partitions >= 4);
+        let pruned = scenario.session.sql(&scenario.query).unwrap();
+        assert!(pruned.report.pruned_partitions >= 4);
         *scenario.session.config_mut() = RavenConfig {
-            execution_mode: ExecutionMode::Materialized,
+            enable_data_induced: false,
             runtime_policy: RuntimePolicy::NoTransform,
             ..Default::default()
         };
-        let materialized = scenario.session.sql(&scenario.query).unwrap();
-        assert_eq!(streamed.report.output_rows, materialized.report.output_rows);
+        let unpruned = scenario.session.sql(&scenario.query).unwrap();
+        assert_eq!(unpruned.report.pruned_partitions, 0);
+        assert_eq!(pruned.report.output_rows, unpruned.report.output_rows);
     }
 
     #[test]

@@ -41,7 +41,6 @@ pub use session::{
 };
 pub use stats::PipelineStats;
 pub use strategy::{
-    evaluate_strategy, stratified_folds, ClassificationStrategy, ExecutionMode,
-    OptimizationStrategy, RegressionStrategy, RuleBasedStrategy, StrategyCorpus,
-    StrategyObservation, TransformChoice,
+    evaluate_strategy, stratified_folds, ClassificationStrategy, OptimizationStrategy,
+    RegressionStrategy, RuleBasedStrategy, StrategyCorpus, StrategyObservation, TransformChoice,
 };

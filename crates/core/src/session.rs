@@ -12,7 +12,7 @@ use crate::error::{RavenError, Result};
 use crate::mltodnn::apply_ml_to_dnn;
 use crate::mltosql::pipeline_to_sql;
 use crate::stats::PipelineStats;
-use crate::strategy::{ExecutionMode, OptimizationStrategy, TransformChoice};
+use crate::strategy::{OptimizationStrategy, TransformChoice};
 use raven_columnar::{
     Batch, BatchStream, Column, ColumnarError, DataType, Field, StreamBatch, Table,
 };
@@ -74,15 +74,12 @@ pub struct RavenConfig {
     pub enable_partition_models: bool,
     /// Logical-to-physical policy (§5).
     pub runtime_policy: RuntimePolicy,
-    /// How the data side is driven through ML scoring: the streaming
-    /// partition-parallel pipeline or the legacy materialized pipeline.
-    pub execution_mode: ExecutionMode,
     /// Degree of parallelism of the data engine: how many executors of the
     /// process-wide work-stealing pool (`raven_columnar::pool`) one query's
     /// partition drives may occupy concurrently. The pool itself is sized to
     /// the machine; this knob only bounds a single query's share of it.
     pub degree_of_parallelism: usize,
-    /// ML runtime configuration (UDF overheads, batch size).
+    /// ML runtime configuration (scoring batch size).
     pub ml_runtime: RuntimeConfig,
     /// Device used when MLtoDNN is chosen.
     pub device: Device,
@@ -107,7 +104,6 @@ impl Default for RavenConfig {
             enable_data_induced: true,
             enable_partition_models: false,
             runtime_policy: RuntimePolicy::Heuristic,
-            execution_mode: ExecutionMode::Streaming,
             degree_of_parallelism: 1,
             ml_runtime: RuntimeConfig::default(),
             device: Device::Cpu,
@@ -120,7 +116,10 @@ impl Default for RavenConfig {
 
 impl RavenConfig {
     /// A configuration with every Raven optimization disabled — the
-    /// "Raven (no-opt)" baseline of §7.
+    /// "Raven (no-opt)" baseline of §7: no logical optimizations and no
+    /// runtime transformation. It runs the same streaming drive as an
+    /// optimized query; with data-induced optimizations off, that drive
+    /// prunes no partition by statistics.
     pub fn no_opt() -> Self {
         RavenConfig {
             enable_predicate_pruning: false,
@@ -128,9 +127,6 @@ impl RavenConfig {
             enable_data_induced: false,
             enable_partition_models: false,
             runtime_policy: RuntimePolicy::NoTransform,
-            // the unoptimized baseline also materializes the data side before
-            // scoring, like the systems Raven is compared against in §7
-            execution_mode: ExecutionMode::Materialized,
             ..Default::default()
         }
     }
@@ -152,7 +148,7 @@ pub struct ExecutionReport {
     /// Time spent in the data engine.
     pub data_time: Duration,
     /// Time spent in the ML / DNN runtime (zero for MLtoSQL). On the
-    /// streaming path this is the per-partition scoring time summed across
+    /// ML-runtime path this is the per-partition scoring time summed across
     /// workers and capped at the wall clock — exact at dop 1, a
     /// scoring-share attribution at dop > 1 (`data_time + ml_time` always
     /// partitions the measured wall time).
@@ -164,23 +160,17 @@ pub struct ExecutionReport {
     pub output_rows: usize,
     /// Whether `ml_time` comes from a simulated device model.
     pub ml_time_modeled: bool,
-    /// The execution mode the data side actually ran in (`Auto` resolves to
-    /// streaming or materialized before execution; on the MLtoDNN path the
-    /// mode describes the relational scan — the tensor model itself always
-    /// consumes one materialized feature matrix).
-    pub execution_mode: ExecutionMode,
     /// Partitions skipped without scanning because their min/max statistics
     /// could not satisfy the query's input predicates (data-induced compute
-    /// pruning, §4.2). Always 0 on the materialized path.
+    /// pruning, §4.2). Always 0 when `enable_data_induced` is off.
     pub pruned_partitions: usize,
     /// Partitions that flowed through the streaming scoring pipeline.
     pub streamed_partitions: usize,
     /// Full batch copies performed between pipeline stages (filters
-    /// materializing surviving rows). Zero on the selection-vector streaming
-    /// path: filters produce zero-copy selection views and surviving rows
-    /// are gathered exactly once, at the output boundary. The materialized
-    /// baseline (and `RAVEN_SELECTION=materialize`) reports its per-filter
-    /// copies here.
+    /// materializing surviving rows). Zero with selection vectors: filters
+    /// produce zero-copy selection views and surviving rows are gathered
+    /// exactly once, at the output boundary. Under
+    /// `RAVEN_SELECTION=materialize` every filter's copy is counted here.
     pub intermediate_materializations: usize,
     /// Rows materialized into hash-join build tables across the data side.
     /// With cost-based build-side selection this is the estimated-smaller
@@ -201,7 +191,6 @@ struct PathOutcome {
     ml_time_modeled: bool,
     fallback: bool,
     partition_report: Option<DataInducedReport>,
-    execution_mode: ExecutionMode,
     pruned_partitions: usize,
     streamed_partitions: usize,
     intermediate_materializations: usize,
@@ -210,7 +199,7 @@ struct PathOutcome {
 }
 
 impl PathOutcome {
-    fn new(batch: Batch, execution_mode: ExecutionMode) -> Self {
+    fn new(batch: Batch) -> Self {
         PathOutcome {
             batch,
             data_time: Duration::ZERO,
@@ -218,7 +207,6 @@ impl PathOutcome {
             ml_time_modeled: false,
             fallback: false,
             partition_report: None,
-            execution_mode,
             pruned_partitions: 0,
             streamed_partitions: 0,
             intermediate_materializations: 0,
@@ -240,7 +228,7 @@ impl PathOutcome {
 
 /// Snapshot of the relational executor's counters after one plan run, folded
 /// into the [`ExecutionReport`].
-#[derive(Debug, Default, Clone, Copy)]
+#[derive(Debug, Clone, Copy)]
 struct EngineCounters {
     pruned_partitions: usize,
     streamed_partitions: usize,
@@ -811,7 +799,6 @@ impl RavenSession {
             total_time,
             output_rows: outcome.batch.num_rows(),
             ml_time_modeled: outcome.ml_time_modeled,
-            execution_mode: outcome.execution_mode,
             pruned_partitions: outcome.pruned_partitions,
             streamed_partitions: outcome.streamed_partitions,
             intermediate_materializations,
@@ -920,18 +907,16 @@ impl RavenSession {
         })
     }
 
-    /// The execution context handed to the relational engine.
-    /// `partition_pruning` distinguishes the streaming pipeline (which prunes
-    /// via statistics) from the legacy materialized plan that models engines
-    /// scanning every partition — the legacy plan also materializes at every
-    /// filter (no selection vectors), like the §7 baseline systems it stands
-    /// in for.
-    fn execution_context(&self, partition_pruning: bool) -> ExecutionContext {
+    /// The execution context handed to the relational engine. Statistics
+    /// partition pruning is data-induced compute pruning (§4.2), so it
+    /// follows `enable_data_induced`; selection vectors follow only the
+    /// `RAVEN_SELECTION` pin.
+    fn execution_context(&self) -> ExecutionContext {
         ExecutionContext {
             degree_of_parallelism: self.config.degree_of_parallelism.max(1),
             batch_size: self.config.ml_runtime.batch_size.max(1),
-            partition_pruning,
-            selection_vectors: partition_pruning && selection_vectors_default(),
+            partition_pruning: self.config.enable_data_induced,
+            selection_vectors: selection_vectors_default(),
             cost_based_build_side: self.config.cost_based_joins,
         }
     }
@@ -939,27 +924,10 @@ impl RavenSession {
     /// Run an already-optimized relational plan, returning the result plus a
     /// snapshot of the executor's counters (partitions pruned via statistics
     /// / scanned, intermediate materializations, join build/probe work).
-    fn run_optimized(
-        &self,
-        plan: &LogicalPlan,
-        partition_pruning: bool,
-    ) -> Result<(Batch, EngineCounters)> {
+    fn run_optimized(&self, plan: &LogicalPlan) -> Result<(Batch, EngineCounters)> {
         let exec = Executor::new();
-        let batch = exec.execute(
-            plan,
-            &self.catalog,
-            &self.execution_context(partition_pruning),
-        )?;
+        let batch = exec.execute(plan, &self.catalog, &self.execution_context())?;
         Ok((batch, EngineCounters::from_metrics(&exec.metrics())))
-    }
-
-    /// Execution mode for the fully-relational transform paths (MLtoSQL and
-    /// the data side of MLtoDNN): a materialized configuration keeps the
-    /// legacy no-pruning scan, streaming uses the streaming engine with
-    /// statistics pruning.
-    fn transform_path_mode(&self) -> (ExecutionMode, bool) {
-        let mode = self.config.execution_mode;
-        (mode, mode == ExecutionMode::Streaming)
     }
 
     /// MLtoSQL lowering: the entire query (featurization, model, predicates,
@@ -996,13 +964,11 @@ impl RavenSession {
     }
 
     /// MLtoSQL execution: run the pre-optimized relational plan on the
-    /// streaming partition-parallel engine (or the legacy no-pruning scan
-    /// when the session is configured `Materialized`).
+    /// streaming partition-parallel engine.
     fn run_ml_to_sql(&self, relational: &LogicalPlan) -> Result<PathOutcome> {
         let start = Instant::now();
-        let (mode, pruning) = self.transform_path_mode();
-        let (batch, counters) = self.run_optimized(relational, pruning)?;
-        let mut outcome = PathOutcome::new(batch, mode);
+        let (batch, counters) = self.run_optimized(relational)?;
+        let mut outcome = PathOutcome::new(batch);
         outcome.data_time = start.elapsed();
         outcome.apply_counters(counters);
         Ok(outcome)
@@ -1108,42 +1074,17 @@ impl RavenSession {
         )
     }
 
-    /// ML-runtime path dispatcher (and the SparkML / MADlib-style baselines):
-    /// run the data part on the data engine, score with the ML runtime, then
-    /// apply output predicates / projection / aggregation — either as one
-    /// streaming partition-parallel pipeline or via the legacy materialized
-    /// plan, per the configured [`ExecutionMode`].
+    /// ML-runtime path (and the SparkML / MADlib-style baselines): the
+    /// relational plan compiles to a [`BatchStream`], each partition flows
+    /// through scan filters, statistics pruning (when data-induced
+    /// optimizations are on), ML scoring, output predicates, and the final
+    /// projection as one fused per-partition task on the process-wide
+    /// work-stealing pool (bounded by this query's `degree_of_parallelism`),
+    /// and partitions are concatenated exactly once at the output boundary
+    /// (aggregates being the one remaining pipeline breaker).
     fn run_ml_runtime(&self, plan: &UnifiedPlan, lowered: &MlRuntimePlan) -> Result<PathOutcome> {
-        // The row-interpreted / materializing baselines model systems that
-        // materialize the data side before scoring; only the vectorized
-        // runtime streams.
-        let mode = if self.config.baseline != BaselineMode::Vectorized {
-            ExecutionMode::Materialized
-        } else {
-            self.config.execution_mode
-        };
-        match mode {
-            ExecutionMode::Materialized => self.run_ml_runtime_materialized(plan, lowered),
-            ExecutionMode::Streaming => self.run_ml_runtime_streaming(plan, lowered),
-        }
-    }
-
-    /// Streaming ML-runtime path: the relational plan compiles to a
-    /// [`BatchStream`], each partition flows through scan filters, statistics
-    /// pruning, ML scoring, output predicates, and the final projection as
-    /// one fused per-partition task on the process-wide work-stealing pool
-    /// (bounded by this query's `degree_of_parallelism`), and partitions are
-    /// concatenated exactly once at the output boundary (aggregates being the
-    /// one remaining pipeline breaker).
-    fn run_ml_runtime_streaming(
-        &self,
-        plan: &UnifiedPlan,
-        lowered: &MlRuntimePlan,
-    ) -> Result<PathOutcome> {
         let runtime = MlRuntime::with_config(self.config.ml_runtime.clone());
-        // one engine/runtime boundary crossing per query, not per partition
-        runtime.charge_invocation();
-        let ctx = self.execution_context(true);
+        let ctx = self.execution_context();
         let dop = ctx.degree_of_parallelism;
         let wall = Instant::now();
 
@@ -1155,6 +1096,7 @@ impl RavenSession {
         let models = lowered.models.clone();
         let source_schema = lowered.schema.clone();
         let selection_vectors = ctx.selection_vectors;
+        let partition_pruning = ctx.partition_pruning;
         let stream = match (&lowered.data, &lowered.scan_table) {
             (None, Some(table_name)) => {
                 // per-partition compiled models: stream the table directly so
@@ -1165,11 +1107,14 @@ impl RavenSession {
                 let pruned = manual_pruned.clone();
                 let copies = manual_copies.clone();
                 BatchStream::from_table(&table).map(move |mut item| {
-                    if let Some(stats) = &item.stats {
-                        if !may_satisfy_all(&preds, stats) {
-                            pruned.fetch_add(1, Ordering::Relaxed);
-                            return Ok(None);
-                        }
+                    let prunable = partition_pruning
+                        && item
+                            .stats
+                            .as_ref()
+                            .is_some_and(|s| !may_satisfy_all(&preds, s));
+                    if prunable {
+                        pruned.fetch_add(1, Ordering::Relaxed);
+                        return Ok(None);
                     }
                     for p in &preds {
                         let mask = evaluate_predicate(p, &item.batch).map_err(stream_err)?;
@@ -1192,13 +1137,14 @@ impl RavenSession {
         //    stream. Scoring consumes (batch, selection): selected rows are
         //    gathered straight from the source columns into the runtime's
         //    inputs (zero-copy filter→score) and the scores scatter back as
-        //    one full-length column, so the selection keeps flowing.
+        //    one full-length column, so the selection keeps flowing. The §7
+        //    baselines instead compact the partition and score it whole, as
+        //    the systems they stand in for do.
         let ml_nanos = Arc::new(AtomicU64::new(0));
         let score_op: raven_columnar::StreamOp = {
-            let runtime = runtime.clone();
-            let models = models.clone();
             let prediction = plan.prediction_column.clone();
             let ml_nanos = ml_nanos.clone();
+            let baseline = self.config.baseline;
             Arc::new(move |mut item: StreamBatch| {
                 let t0 = Instant::now();
                 let compiled = if models.len() > 1 {
@@ -1206,45 +1152,27 @@ impl RavenSession {
                 } else {
                     &models[0]
                 };
-                item.batch = runtime
-                    .score_batch_into_selected(
-                        compiled,
-                        &item.batch,
-                        item.selection.as_ref(),
-                        &prediction,
-                    )
-                    .map_err(stream_err)?;
+                let scored = if baseline == BaselineMode::Vectorized {
+                    runtime
+                        .score_batch_into_selected(
+                            compiled,
+                            &item.batch,
+                            item.selection.as_ref(),
+                            &prediction,
+                        )
+                        .map_err(stream_err)?
+                } else {
+                    item = item.compact()?;
+                    let scores = score_batch(baseline, &runtime, compiled.pipeline(), &item.batch)
+                        .map_err(stream_err)?;
+                    attach_scores(&item.batch, &prediction, scores).map_err(stream_err)?
+                };
+                item.batch = scored;
                 ml_nanos.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
                 Ok(Some(item))
             })
         };
-        let post_op: raven_columnar::StreamOp = {
-            let output_preds: Vec<Expr> = plan.output_predicates().into_iter().cloned().collect();
-            let projection = plan.projection.clone();
-            let copies = manual_copies.clone();
-            Arc::new(move |mut item: StreamBatch| {
-                for p in &output_preds {
-                    let mask = evaluate_predicate(p, &item.batch).map_err(stream_err)?;
-                    if item.apply_mask(&mask, selection_vectors)? {
-                        copies.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                if !projection.is_empty() {
-                    // projection replaces the columns row-aligned with the
-                    // source, so the selection survives untouched
-                    let mut columns = Vec::with_capacity(projection.len());
-                    let mut fields = Vec::with_capacity(projection.len());
-                    for e in &projection {
-                        let c = evaluate(e, &item.batch).map_err(stream_err)?;
-                        fields.push(Field::new(e.output_name(), c.data_type()));
-                        columns.push(c);
-                    }
-                    item.batch =
-                        Batch::new(Arc::new(raven_columnar::Schema::new(fields)?), columns)?;
-                }
-                Ok(Some(item))
-            })
-        };
+        let post_op = post_scoring_op(plan, selection_vectors, manual_copies.clone());
 
         // 3. drive the pipeline partition-parallel; the single gather of
         //    surviving rows happens at the final output boundary, fused into
@@ -1292,7 +1220,7 @@ impl RavenSession {
         // measured total: exact at dop 1, a scoring-share attribution above.
         let wall_time = wall.elapsed();
         let ml_time = Duration::from_nanos(ml_nanos.load(Ordering::Relaxed)).min(wall_time);
-        let mut outcome = PathOutcome::new(batch, ExecutionMode::Streaming);
+        let mut outcome = PathOutcome::new(batch);
         outcome.data_time = wall_time.saturating_sub(ml_time);
         outcome.ml_time = ml_time;
         outcome.partition_report = partition_report;
@@ -1304,138 +1232,6 @@ impl RavenSession {
         outcome.join_build_rows = exec.metrics().join_build_rows();
         outcome.join_probe_batches = exec.metrics().join_probe_batches();
         Ok(outcome)
-    }
-
-    /// Legacy materialized ML-runtime path: the relational result is
-    /// concatenated into one batch before scoring. Kept as the §7 baseline
-    /// (and for the row-interpreted / materializing baseline modes), and as
-    /// the plan the streaming pipeline is costed against.
-    fn run_ml_runtime_materialized(
-        &self,
-        plan: &UnifiedPlan,
-        lowered: &MlRuntimePlan,
-    ) -> Result<PathOutcome> {
-        let runtime = MlRuntime::with_config(self.config.ml_runtime.clone());
-        let mut data_time = Duration::ZERO;
-        let mut ml_time = Duration::ZERO;
-
-        let partition_report = lowered.partition_report.clone();
-        // The materialized baseline deep-copies surviving rows at every
-        // filter; count the copies so the report contrasts with the
-        // zero-materialization streaming path.
-        let mut copies = 0usize;
-        let mut data_counters = EngineCounters::default();
-        let mut scored = match (&lowered.data, &lowered.scan_table) {
-            (None, Some(table_name)) => {
-                // execute partition by partition with its specialized model
-                let table = self.catalog.table(table_name)?;
-                let input_preds: Vec<Expr> = plan.input_predicates().into_iter().cloned().collect();
-                let mut parts = Vec::new();
-                for (batch, compiled) in table.partitions().iter().zip(lowered.models.iter()) {
-                    let d0 = Instant::now();
-                    let mut batch = batch.clone();
-                    for p in &input_preds {
-                        let mask = evaluate_predicate(p, &batch)?;
-                        batch = batch.filter(&mask)?;
-                        copies += 1;
-                    }
-                    data_time += d0.elapsed();
-                    let m0 = Instant::now();
-                    let scores = self.score_batch(&runtime, compiled, &batch)?;
-                    ml_time += m0.elapsed();
-                    parts.push(attach_scores(&batch, &plan.prediction_column, scores)?);
-                }
-                Batch::concat(&parts)?
-            }
-            (Some(data), _) => {
-                let d0 = Instant::now();
-                // the legacy plan scans every partition: no stats pruning
-                let (batch, counters) = self.run_optimized(data, false)?;
-                copies += counters.intermediate_materializations;
-                // this path models engines with no streaming pipeline: only
-                // the join counters carry over, partitions stay unreported
-                data_counters.join_build_rows = counters.join_build_rows;
-                data_counters.join_probe_batches = counters.join_probe_batches;
-                data_time += d0.elapsed();
-                let m0 = Instant::now();
-                let scores = self.score_batch(&runtime, &lowered.models[0], &batch)?;
-                ml_time += m0.elapsed();
-                attach_scores(&batch, &plan.prediction_column, scores)?
-            }
-            (None, None) => {
-                return Err(RavenError::Ml(
-                    "lowered ML-runtime plan has neither a data plan nor a scan table".into(),
-                ))
-            }
-        };
-
-        let d1 = Instant::now();
-        let post_copies;
-        (scored, post_copies) = self.post_process(plan, scored)?;
-        copies += post_copies;
-        data_time += d1.elapsed();
-        let mut outcome = PathOutcome::new(scored, ExecutionMode::Materialized);
-        outcome.data_time = data_time;
-        outcome.ml_time = ml_time;
-        outcome.partition_report = partition_report;
-        outcome.apply_counters(data_counters);
-        outcome.intermediate_materializations = copies;
-        Ok(outcome)
-    }
-
-    fn score_batch(
-        &self,
-        runtime: &MlRuntime,
-        compiled: &CompiledPipeline,
-        batch: &Batch,
-    ) -> Result<Vec<f64>> {
-        let pipeline: &Pipeline = compiled.pipeline();
-        match self.config.baseline {
-            BaselineMode::Vectorized => Ok(runtime.run_batch_compiled(compiled, batch)?),
-            BaselineMode::RowInterpreted => Ok(runtime.run_batch_row_interpreted(pipeline, batch)?),
-            BaselineMode::Materialized => {
-                // MADlib-style: evaluate the pipeline one operator at a time,
-                // materializing every intermediate result into fresh columnar
-                // buffers (two extra copies per operator), single threaded.
-                let mut inputs = bind_batch(pipeline, batch)?;
-                let mut partial = Pipeline {
-                    name: pipeline.name.clone(),
-                    inputs: pipeline.inputs.clone(),
-                    nodes: vec![],
-                    output: pipeline.output.clone(),
-                };
-                for node in &pipeline.nodes {
-                    partial.nodes.push(node.clone());
-                    partial.output = node.output.clone();
-                    let out = runtime.run(&partial, &inputs)?;
-                    // materialize: round-trip the value through owned buffers
-                    let materialized = match out {
-                        raven_ml::FrameValue::Numeric(m) => {
-                            let copied =
-                                raven_ml::Matrix::new(m.rows(), m.cols(), m.data().to_vec())
-                                    .map_err(|e| RavenError::Ml(e.to_string()))?;
-                            raven_ml::FrameValue::Numeric(copied)
-                        }
-                        other => other,
-                    };
-                    // expose the materialized value as a new pipeline input so
-                    // later operators read from "storage"
-                    inputs.insert(node.output.clone(), materialized);
-                    partial.inputs.push(raven_ml::PipelineInput {
-                        name: node.output.clone(),
-                        kind: raven_ml::InputKind::Numeric,
-                    });
-                    partial.nodes.clear();
-                }
-                let out = inputs
-                    .remove(&pipeline.output)
-                    .ok_or_else(|| RavenError::Ml("materialized output missing".into()))?;
-                let m = out
-                    .as_numeric()
-                    .map_err(|e| RavenError::Ml(e.to_string()))?;
-                Ok(m.column(0))
-            }
-        }
     }
 
     /// MLtoDNN lowering: compile the model node to a tensor model bound to
@@ -1457,9 +1253,10 @@ impl RavenSession {
     }
 
     /// MLtoDNN execution: data engine → featurizers on the ML runtime →
-    /// compiled tensor model on the configured device. The tensor model
-    /// consumes one dense feature matrix, so the data side materializes at
-    /// the featurization boundary (the relational plan itself still streams).
+    /// compiled tensor model on the configured device → the post-scoring
+    /// chain. The tensor model consumes one dense feature matrix, so the data
+    /// side materializes at the featurization boundary (the relational plan
+    /// itself still streams).
     fn run_ml_to_dnn(
         &self,
         plan: &UnifiedPlan,
@@ -1468,10 +1265,8 @@ impl RavenSession {
     ) -> Result<PathOutcome> {
         let runtime = MlRuntime::with_config(self.config.ml_runtime.clone());
 
-        let (mode, pruning) = self.transform_path_mode();
         let d0 = Instant::now();
-        let (batch, counters) = self.run_optimized(data, pruning)?;
-        let mut copies = counters.intermediate_materializations;
+        let (batch, counters) = self.run_optimized(data)?;
         let mut data_time = d0.elapsed();
 
         let m0 = Instant::now();
@@ -1486,48 +1281,25 @@ impl RavenSession {
         let ml_time = featurize_time + run.reported;
 
         let d1 = Instant::now();
-        let mut scored = attach_scores(&batch, &plan.prediction_column, run.scores)?;
-        let post_copies;
-        (scored, post_copies) = self.post_process(plan, scored)?;
-        copies += post_copies;
+        let scored = attach_scores(&batch, &plan.prediction_column, run.scores)?;
+        let copies = Arc::new(AtomicUsize::new(0));
+        let post_op = post_scoring_op(plan, selection_vectors_default(), copies.clone());
+        let item = post_op(StreamBatch::new(scored, 0))?
+            .ok_or_else(|| RavenError::Ml("post-scoring chain dropped the batch".into()))?;
+        let batch = self.apply_aggregate(plan, item.compact()?.batch)?;
         data_time += d1.elapsed();
-        let mut outcome = PathOutcome::new(scored, mode);
+        let mut outcome = PathOutcome::new(batch);
         outcome.data_time = data_time;
         outcome.ml_time = ml_time;
         outcome.ml_time_modeled = modeled;
         outcome.apply_counters(counters);
-        outcome.intermediate_materializations = copies;
+        outcome.intermediate_materializations += copies.load(Ordering::Relaxed);
         Ok(outcome)
     }
 
-    /// Apply output-side predicates, the final projection, and the aggregate
-    /// to a scored batch (materialized paths; the streaming path fuses the
-    /// first two per partition and only breaks the pipeline for the
-    /// aggregate). Returns the result plus the number of full-batch filter
-    /// copies performed.
-    fn post_process(&self, plan: &UnifiedPlan, mut batch: Batch) -> Result<(Batch, usize)> {
-        let mut copies = 0usize;
-        for p in plan.output_predicates() {
-            let mask = evaluate_predicate(p, &batch)?;
-            batch = batch.filter(&mask)?;
-            copies += 1;
-        }
-        if !plan.projection.is_empty() {
-            let mut columns = Vec::with_capacity(plan.projection.len());
-            let mut fields = Vec::with_capacity(plan.projection.len());
-            for e in &plan.projection {
-                let c = evaluate(e, &batch)?;
-                fields.push(Field::new(e.output_name(), c.data_type()));
-                columns.push(c);
-            }
-            batch = Batch::new(Arc::new(raven_columnar::Schema::new(fields)?), columns)?;
-        }
-        Ok((self.apply_aggregate(plan, batch)?, copies))
-    }
-
     /// Apply the plan's final aggregate (if any) by registering the scored
-    /// batch with the relational executor — the one pipeline breaker shared
-    /// by the streaming and materialized paths.
+    /// batch with the relational executor — the one pipeline breaker after
+    /// scoring, shared by the ML-runtime and MLtoDNN paths.
     fn apply_aggregate(&self, plan: &UnifiedPlan, batch: Batch) -> Result<Batch> {
         let Some((group_by, aggs)) = &plan.aggregate else {
             return Ok(batch);
@@ -1538,6 +1310,93 @@ impl RavenSession {
         let exec = Executor::new();
         Ok(exec.execute(&agg_plan, &catalog, &ExecutionContext::default())?)
     }
+}
+
+/// The post-scoring chain over one scored partition: the output predicates,
+/// then the final projection. A filter refines the selection, or copies the
+/// surviving rows when `selection_vectors` is off, each copy counted in
+/// `copies`. The projection replaces the columns row-aligned with the source,
+/// so the selection survives it untouched.
+fn post_scoring_op(
+    plan: &UnifiedPlan,
+    selection_vectors: bool,
+    copies: Arc<AtomicUsize>,
+) -> raven_columnar::StreamOp {
+    let output_preds: Vec<Expr> = plan.output_predicates().into_iter().cloned().collect();
+    let projection = plan.projection.clone();
+    Arc::new(move |mut item: StreamBatch| {
+        for p in &output_preds {
+            let mask = evaluate_predicate(p, &item.batch).map_err(stream_err)?;
+            if item.apply_mask(&mask, selection_vectors)? {
+                copies.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        if !projection.is_empty() {
+            let mut columns = Vec::with_capacity(projection.len());
+            let mut fields = Vec::with_capacity(projection.len());
+            for e in &projection {
+                let c = evaluate(e, &item.batch).map_err(stream_err)?;
+                fields.push(Field::new(e.output_name(), c.data_type()));
+                columns.push(c);
+            }
+            item.batch = Batch::new(Arc::new(raven_columnar::Schema::new(fields)?), columns)?;
+        }
+        Ok(Some(item))
+    })
+}
+
+/// Score a compacted batch the way a non-vectorized §7 baseline does:
+/// row-at-a-time interpreted (SparkML-style), or one operator at a time with
+/// every intermediate result materialized (MADlib-style). Vectorized scoring
+/// goes through [`MlRuntime::score_batch_into_selected`] instead.
+fn score_batch(
+    baseline: BaselineMode,
+    runtime: &MlRuntime,
+    pipeline: &Pipeline,
+    batch: &Batch,
+) -> Result<Vec<f64>> {
+    if baseline == BaselineMode::RowInterpreted {
+        return Ok(runtime.run_batch_row_interpreted(pipeline, batch)?);
+    }
+    // MADlib-style: evaluate the pipeline one operator at a time,
+    // materializing every intermediate result into fresh columnar buffers
+    // (two extra copies per operator), single threaded.
+    let mut inputs = bind_batch(pipeline, batch)?;
+    let mut partial = Pipeline {
+        name: pipeline.name.clone(),
+        inputs: pipeline.inputs.clone(),
+        nodes: vec![],
+        output: pipeline.output.clone(),
+    };
+    for node in &pipeline.nodes {
+        partial.nodes.push(node.clone());
+        partial.output = node.output.clone();
+        let out = runtime.run(&partial, &inputs)?;
+        // materialize: round-trip the value through owned buffers
+        let materialized = match out {
+            raven_ml::FrameValue::Numeric(m) => {
+                let copied = raven_ml::Matrix::new(m.rows(), m.cols(), m.data().to_vec())
+                    .map_err(|e| RavenError::Ml(e.to_string()))?;
+                raven_ml::FrameValue::Numeric(copied)
+            }
+            other => other,
+        };
+        // expose the materialized value as a new pipeline input so later
+        // operators read from "storage"
+        inputs.insert(node.output.clone(), materialized);
+        partial.inputs.push(raven_ml::PipelineInput {
+            name: node.output.clone(),
+            kind: raven_ml::InputKind::Numeric,
+        });
+        partial.nodes.clear();
+    }
+    let out = inputs
+        .remove(&pipeline.output)
+        .ok_or_else(|| RavenError::Ml("materialized output missing".into()))?;
+    let m = out
+        .as_numeric()
+        .map_err(|e| RavenError::Ml(e.to_string()))?;
+    Ok(m.column(0))
 }
 
 fn attach_scores(batch: &Batch, name: &str, scores: Vec<f64>) -> Result<Batch> {
@@ -1620,6 +1479,36 @@ mod tests {
             .to_vec();
         v.sort();
         v
+    }
+
+    /// Sorted `(id, risk bits)` rows: bitwise result identity.
+    fn id_risk_bits(batch: &Batch) -> Vec<(i64, u64)> {
+        let ids = batch.column_by_name("id").unwrap().as_i64().unwrap();
+        let risk = batch.column_by_name("risk").unwrap().as_f64().unwrap();
+        let mut rows: Vec<(i64, u64)> = ids
+            .iter()
+            .zip(risk)
+            .map(|(id, r)| (*id, r.to_bits()))
+            .collect();
+        rows.sort_unstable();
+        rows
+    }
+
+    /// The running-example session with `patients` split into 8 age ranges.
+    fn age_partitioned_session(model: ModelType) -> RavenSession {
+        use raven_columnar::{partition_by_column, PartitionSpec};
+        let (mut session, _) = session(model);
+        let table = session.catalog().table("patients").unwrap();
+        let partitioned = partition_by_column(
+            &table,
+            &PartitionSpec::ByRange {
+                column: "age".into(),
+                partitions: 8,
+            },
+        )
+        .unwrap();
+        session.register_table(partitioned);
+        session
     }
 
     #[test]
@@ -1706,113 +1595,98 @@ mod tests {
     }
 
     #[test]
-    fn streaming_prunes_partitions_and_matches_materialized() {
-        use raven_columnar::{partition_by_column, PartitionSpec};
-        let (mut session, _) = session(ModelType::DecisionTree { max_depth: 5 });
-        let table = session.catalog().table("patients").unwrap();
-        let partitioned = partition_by_column(
-            &table,
-            &PartitionSpec::ByRange {
-                column: "age".into(),
-                partitions: 8,
-            },
-        )
-        .unwrap();
-        session.register_table(partitioned);
+    fn streaming_prunes_partitions_and_matches_unpruned() {
+        let mut session = age_partitioned_session(ModelType::DecisionTree { max_depth: 5 });
         session.config_mut().runtime_policy = RuntimePolicy::NoTransform;
         session.config_mut().degree_of_parallelism = 4;
         // age >= 80 only touches the top range partition(s)
         let query = "SELECT d.id, p.risk FROM PREDICT(MODEL = risk_model, DATA = patients AS d) \
                      WITH (risk float) AS p WHERE d.age >= 80 AND p.risk >= 0.0";
 
-        session.config_mut().execution_mode = ExecutionMode::Streaming;
-        let streamed = session.sql(query).unwrap();
-        assert_eq!(streamed.report.execution_mode, ExecutionMode::Streaming);
+        let pruned = session.sql(query).unwrap();
         assert!(
-            streamed.report.pruned_partitions >= 4,
+            pruned.report.pruned_partitions >= 4,
             "expected most range partitions pruned, got {}",
-            streamed.report.pruned_partitions
+            pruned.report.pruned_partitions
         );
-        assert!(streamed.report.streamed_partitions >= 1);
+        assert!(pruned.report.streamed_partitions >= 1);
         assert_eq!(
-            streamed.report.pruned_partitions + streamed.report.streamed_partitions,
+            pruned.report.pruned_partitions + pruned.report.streamed_partitions,
             8
         );
 
-        session.config_mut().execution_mode = ExecutionMode::Materialized;
-        let materialized = session.sql(query).unwrap();
-        assert_eq!(
-            materialized.report.execution_mode,
-            ExecutionMode::Materialized
-        );
-        assert_eq!(materialized.report.pruned_partitions, 0);
-        assert_eq!(ids(&streamed.batch), ids(&materialized.batch));
-        assert!(
-            streamed.report.output_rows > 0,
-            "predicate should keep rows"
-        );
+        session.config_mut().enable_data_induced = false;
+        let unpruned = session.sql(query).unwrap();
+        assert_eq!(unpruned.report.pruned_partitions, 0);
+        assert_eq!(unpruned.report.streamed_partitions, 8);
+        assert_eq!(id_risk_bits(&pruned.batch), id_risk_bits(&unpruned.batch));
+        assert!(pruned.report.output_rows > 0, "predicate should keep rows");
     }
 
     #[test]
     fn streaming_partition_models_stay_aligned_under_pruning() {
-        use raven_columnar::{partition_by_column, PartitionSpec};
-        let (mut session, _) = session(ModelType::DecisionTree { max_depth: 6 });
-        let table = session.catalog().table("patients").unwrap();
-        let partitioned = partition_by_column(
-            &table,
-            &PartitionSpec::ByDistinctValue {
-                column: "rcount".into(),
-            },
-        )
-        .unwrap();
-        session.register_table(partitioned);
+        // each age range gets a model specialized to that range, so a
+        // partition scored by another partition's model changes its scores
+        let mut session = age_partitioned_session(ModelType::DecisionTree { max_depth: 6 });
         session.config_mut().runtime_policy = RuntimePolicy::NoTransform;
         session.config_mut().enable_partition_models = true;
         session.config_mut().degree_of_parallelism = 2;
-        // rcount >= 2 prunes the rcount ∈ {0, 1} partitions entirely
+        // age >= 60 prunes the lower range partitions entirely
         let query = "SELECT d.id, p.risk FROM PREDICT(MODEL = risk_model, DATA = patients AS d) \
-                     WITH (risk float) AS p WHERE d.rcount >= 2 AND p.risk >= 0.0";
+                     WITH (risk float) AS p WHERE d.age >= 60 AND p.risk >= 0.0";
 
-        session.config_mut().execution_mode = ExecutionMode::Streaming;
-        let streamed = session.sql(query).unwrap();
-        assert!(streamed.report.data_induced.partition_models >= 2);
-        assert!(streamed.report.pruned_partitions >= 1);
+        let pruned = session.sql(query).unwrap();
+        assert!(pruned.report.data_induced.partition_models >= 2);
+        assert!(pruned.report.pruned_partitions >= 1);
 
-        session.config_mut().execution_mode = ExecutionMode::Materialized;
-        let materialized = session.sql(query).unwrap();
-        assert_eq!(ids(&streamed.batch), ids(&materialized.batch));
+        // without pruning every partition is scored by its own model, so a
+        // misaligned model vector would change the surviving rows' scores
+        session.config_mut().enable_data_induced = false;
+        let unpruned = session.sql(query).unwrap();
+        assert!(unpruned.report.data_induced.partition_models >= 2);
+        assert_eq!(unpruned.report.pruned_partitions, 0);
+        assert_eq!(id_risk_bits(&pruned.batch), id_risk_bits(&unpruned.batch));
+
+        // and a partition's specialized model scores its rows exactly like
+        // the one shared model
+        session.config_mut().enable_partition_models = false;
+        let shared = session.sql(query).unwrap();
+        assert_eq!(shared.report.data_induced.partition_models, 0);
+        assert_eq!(id_risk_bits(&pruned.batch), id_risk_bits(&shared.batch));
+    }
+
+    /// Statistics partition pruning is data-induced compute pruning (§4.2):
+    /// on each execution path it happens exactly when `enable_data_induced`
+    /// is on, and never changes the result rows.
+    fn assert_pruning_follows_data_induced(policy: RuntimePolicy) {
+        let mut session = age_partitioned_session(ModelType::DecisionTree { max_depth: 4 });
+        session.config_mut().runtime_policy = policy;
+        let query = "SELECT d.id, p.risk FROM PREDICT(MODEL = risk_model, DATA = patients AS d) \
+                     WITH (risk float) AS p WHERE d.age >= 80 AND p.risk >= 0.0";
+        session.config_mut().enable_data_induced = false;
+        let unpruned = session.sql(query).unwrap();
+        assert_eq!(unpruned.report.pruned_partitions, 0);
+        session.config_mut().enable_data_induced = true;
+        let pruned = session.sql(query).unwrap();
+        assert!(pruned.report.pruned_partitions > 0);
+        assert_eq!(pruned.report.transform, unpruned.report.transform);
+        assert!(!ids(&pruned.batch).is_empty());
+        assert_eq!(ids(&pruned.batch), ids(&unpruned.batch));
     }
 
     #[test]
-    fn forced_transforms_respect_materialized_mode() {
-        use raven_columnar::{partition_by_column, PartitionSpec};
-        let (mut session, _) = session(ModelType::DecisionTree { max_depth: 4 });
-        let table = session.catalog().table("patients").unwrap();
-        let partitioned = partition_by_column(
-            &table,
-            &PartitionSpec::ByRange {
-                column: "age".into(),
-                partitions: 8,
-            },
-        )
-        .unwrap();
-        session.register_table(partitioned);
-        let query = "SELECT d.id, p.risk FROM PREDICT(MODEL = risk_model, DATA = patients AS d) \
-                     WITH (risk float) AS p WHERE d.age >= 80 AND p.risk >= 0.0";
-        for choice in [TransformChoice::MlToSql, TransformChoice::MlToDnn] {
-            session.config_mut().runtime_policy = RuntimePolicy::Force(choice);
-            // explicit materialized config: legacy scan, nothing pruned
-            session.config_mut().execution_mode = ExecutionMode::Materialized;
-            let out = session.sql(query).unwrap();
-            assert_eq!(out.report.execution_mode, ExecutionMode::Materialized);
-            assert_eq!(out.report.pruned_partitions, 0, "{choice:?}");
-            // streaming config: the relational side prunes via statistics
-            session.config_mut().execution_mode = ExecutionMode::Streaming;
-            let streamed = session.sql(query).unwrap();
-            assert_eq!(streamed.report.execution_mode, ExecutionMode::Streaming);
-            assert!(streamed.report.pruned_partitions > 0, "{choice:?}");
-            assert_eq!(ids(&out.batch), ids(&streamed.batch));
-        }
+    fn ml_runtime_pruning_follows_data_induced() {
+        assert_pruning_follows_data_induced(RuntimePolicy::NoTransform);
+    }
+
+    #[test]
+    fn ml_to_sql_pruning_follows_data_induced() {
+        assert_pruning_follows_data_induced(RuntimePolicy::Force(TransformChoice::MlToSql));
+    }
+
+    #[test]
+    fn ml_to_dnn_pruning_follows_data_induced() {
+        assert_pruning_follows_data_induced(RuntimePolicy::Force(TransformChoice::MlToDnn));
     }
 
     #[test]
@@ -1828,7 +1702,6 @@ mod tests {
             partition_by_column(&table, &PartitionSpec::RoundRobin { partitions: 6 }).unwrap();
         session.register_table(partitioned);
         session.config_mut().runtime_policy = RuntimePolicy::NoTransform;
-        session.config_mut().execution_mode = ExecutionMode::Streaming;
         session.config_mut().degree_of_parallelism = 4;
         let out = session.sql(&query).unwrap();
         // scoring time is summed across workers but capped at the wall
@@ -1841,7 +1714,6 @@ mod tests {
     fn streaming_empty_result_keeps_output_schema() {
         let (mut session, _) = session(ModelType::DecisionTree { max_depth: 4 });
         session.config_mut().runtime_policy = RuntimePolicy::NoTransform;
-        session.config_mut().execution_mode = ExecutionMode::Streaming;
         let query = "SELECT d.id, p.risk FROM PREDICT(MODEL = risk_model, DATA = patients AS d) \
                      WITH (risk float) AS p WHERE d.age > 1000 AND p.risk >= 0.0";
         let out = session.sql(query).unwrap();

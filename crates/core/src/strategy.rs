@@ -144,34 +144,6 @@ pub trait OptimizationStrategy: std::fmt::Debug {
 }
 
 // ---------------------------------------------------------------------------
-// Execution-mode selection (streamed vs. materialized data side)
-// ---------------------------------------------------------------------------
-
-/// How the data side of a prediction query is driven through the ML scoring
-/// stage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ExecutionMode {
-    /// Streaming partition-parallel pipeline: partitions flow through
-    /// relational filters and ML scoring one at a time, pruned by statistics,
-    /// concatenated only at the final output boundary.
-    Streaming,
-    /// Legacy materialized pipeline: the relational result is concatenated
-    /// into one batch before scoring (the pre-BatchStream behaviour, kept as
-    /// the §7 no-opt baseline and the streaming path's parity oracle).
-    Materialized,
-}
-
-impl ExecutionMode {
-    /// Display name used in reports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            ExecutionMode::Streaming => "streaming",
-            ExecutionMode::Materialized => "materialized",
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // ML-informed rule-based strategy
 // ---------------------------------------------------------------------------
 

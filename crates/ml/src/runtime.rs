@@ -2,9 +2,8 @@
 //!
 //! Plays the role of ONNX Runtime (and of the Python-UDF boundary that
 //! surrounds it in Spark, §6/§7.4). The runtime binds relational batches to
-//! pipeline inputs, evaluates the operator DAG node by node, and models the
-//! per-invocation overhead of crossing the data-engine/ML-runtime boundary so
-//! that MLtoSQL's "avoid the ML runtime" benefit is observable.
+//! pipeline inputs and evaluates the operator DAG node by node, in chunks of
+//! `batch_size` rows.
 
 use crate::compiled::CompiledPipeline;
 use crate::error::{MlError, Result};
@@ -12,23 +11,13 @@ use crate::frame::{FrameValue, Matrix, StringMatrix};
 use crate::kernels::{fusion_active, FusedPipeline};
 use crate::ops::{format_numeric_category, scorer_mode, FlatEnsemble, Operator, ScorerMode};
 use crate::pipeline::{InputKind, Pipeline};
-use raven_columnar::{
-    Batch, BatchStream, Column, ColumnarError, DataType, Field, Schema, SelectionVector,
-};
+use raven_columnar::{Batch, Column, ColumnarError, DataType, Field, SelectionVector};
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Runtime configuration.
 #[derive(Debug, Clone)]
 pub struct RuntimeConfig {
-    /// Fixed cost charged once per `run` call, modelling UDF/session startup
-    /// and model-loading overhead (paper §7.4 reports 2–4 s cold, ~0.1 s warm
-    /// on Spark; default is zero so unit tests are unaffected).
-    pub invocation_overhead: Duration,
-    /// Cost charged per processed batch, modelling data conversion between the
-    /// engine's row format and the ML runtime's tensors.
-    pub per_batch_overhead: Duration,
     /// Rows per batch when evaluating large inputs (the paper's UDF batches
     /// 10k rows by default).
     pub batch_size: usize,
@@ -36,11 +25,7 @@ pub struct RuntimeConfig {
 
 impl Default for RuntimeConfig {
     fn default() -> Self {
-        RuntimeConfig {
-            invocation_overhead: Duration::ZERO,
-            per_batch_overhead: Duration::ZERO,
-            batch_size: 10_000,
-        }
+        RuntimeConfig { batch_size: 10_000 }
     }
 }
 
@@ -51,7 +36,7 @@ pub struct MlRuntime {
 }
 
 impl MlRuntime {
-    /// Runtime with default (zero-overhead) configuration.
+    /// Runtime with the default configuration.
     pub fn new() -> Self {
         MlRuntime::default()
     }
@@ -73,7 +58,6 @@ impl MlRuntime {
         pipeline: &Pipeline,
         inputs: &HashMap<String, FrameValue>,
     ) -> Result<FrameValue> {
-        self.charge(self.config.invocation_overhead);
         let rows = inputs
             .values()
             .next()
@@ -88,7 +72,6 @@ impl MlRuntime {
                 )));
             }
         }
-        self.charge(self.config.per_batch_overhead);
         self.evaluate_graph(pipeline, inputs, rows, None)
     }
 
@@ -96,18 +79,6 @@ impl MlRuntime {
     /// batch columns by name. Large batches are processed in chunks of
     /// `batch_size` rows like the paper's vectorized UDF.
     pub fn run_batch(&self, pipeline: &Pipeline, batch: &Batch) -> Result<Vec<f64>> {
-        self.charge(self.config.invocation_overhead);
-        self.run_batch_chunked(pipeline, batch)
-    }
-
-    /// Score one arriving batch of a stream **without** charging the
-    /// per-invocation (UDF/session startup) overhead — the streaming pipeline
-    /// charges that once per query via [`MlRuntime::charge_invocation`], then
-    /// scores each partition batch as it arrives, never concatenating the
-    /// table. Batches larger than `batch_size` are still chunked, and the
-    /// per-batch (data conversion) overhead is charged per chunk, so overhead
-    /// accounting matches the materialized path that scores the same rows.
-    pub fn run_batch_chunked(&self, pipeline: &Pipeline, batch: &Batch) -> Result<Vec<f64>> {
         self.chunked_scores(pipeline, batch, None)
     }
 
@@ -115,16 +86,6 @@ impl MlRuntime {
     /// semantics, but tree-ensemble nodes run the flattened block-at-a-time
     /// kernels (unless the scorer mode pins the interpreted baseline).
     pub fn run_batch_compiled(
-        &self,
-        compiled: &CompiledPipeline,
-        batch: &Batch,
-    ) -> Result<Vec<f64>> {
-        self.charge(self.config.invocation_overhead);
-        self.run_batch_chunked_compiled(compiled, batch)
-    }
-
-    /// [`MlRuntime::run_batch_chunked`] over a [`CompiledPipeline`].
-    pub fn run_batch_chunked_compiled(
         &self,
         compiled: &CompiledPipeline,
         batch: &Batch,
@@ -160,9 +121,8 @@ impl MlRuntime {
 
     /// Score a batch (or its selected rows) through the fused pipeline: one
     /// pass over the source columns per block produces feature-major lanes
-    /// the model kernel consumes in place. Chunked by `batch_size` with the
-    /// per-batch overhead charged per chunk, mirroring the per-operator
-    /// path's accounting.
+    /// the model kernel consumes in place. Chunked by `batch_size`, like the
+    /// per-operator path.
     fn fused_scores(
         &self,
         fused: &FusedPipeline,
@@ -181,7 +141,6 @@ impl MlRuntime {
                 let mut start = 0;
                 while start < total {
                     let len = step.min(total - start);
-                    self.charge(self.config.per_batch_overhead);
                     bound.score_range(start, len, &mut out)?;
                     start += len;
                 }
@@ -190,7 +149,6 @@ impl MlRuntime {
             Some(indices) => {
                 let mut out = Vec::with_capacity(indices.len());
                 for chunk in indices.chunks(step) {
-                    self.charge(self.config.per_batch_overhead);
                     bound.score_gathered(chunk, &mut out)?;
                 }
                 Ok(out)
@@ -212,7 +170,6 @@ impl MlRuntime {
             .chunks(self.config.batch_size.max(1))
             .map_err(MlError::from)?;
         for chunk in chunks {
-            self.charge(self.config.per_batch_overhead);
             let inputs = bind_batch(pipeline, &chunk)?;
             let out = self.evaluate_graph(pipeline, &inputs, chunk.num_rows(), flat)?;
             let m = out.as_numeric()?;
@@ -233,7 +190,7 @@ impl MlRuntime {
     /// filter→score stage of a selection-vector pipeline. Selected rows are
     /// gathered straight from the source columns into pipeline inputs (the
     /// one unavoidable copy at the engine↔runtime boundary), chunked by
-    /// `batch_size` with the per-batch overhead charged per chunk; no
+    /// `batch_size`; no
     /// intermediate filtered batch is ever materialized. With no selection
     /// this degrades to whole-batch scoring.
     pub fn score_batch_into_selected(
@@ -245,10 +202,7 @@ impl MlRuntime {
     ) -> Result<Batch> {
         let pipeline = compiled.pipeline();
         let scores = match selection.and_then(|s| s.indices()) {
-            None => match self.fused_of(compiled) {
-                Some(fused) => self.fused_scores(fused, batch, None)?,
-                None => self.chunked_scores(pipeline, batch, self.flat_of(compiled))?,
-            },
+            None => self.run_batch_compiled(compiled, batch)?,
             Some(indices) if self.fused_of(compiled).is_some() => {
                 // fused gather: selected rows are read straight from the
                 // source columns into feature lanes, scores scatter back
@@ -264,7 +218,6 @@ impl MlRuntime {
                 let flat = self.flat_of(compiled);
                 let mut packed = Vec::with_capacity(indices.len());
                 for chunk in indices.chunks(self.config.batch_size.max(1)) {
-                    self.charge(self.config.per_batch_overhead);
                     let inputs = bind_batch_gather(pipeline, batch, chunk)?;
                     let out = self.evaluate_graph(pipeline, &inputs, chunk.len(), flat)?;
                     let m = out.as_numeric()?;
@@ -292,72 +245,6 @@ impl MlRuntime {
             .map_err(MlError::from)
     }
 
-    /// Charge the per-invocation overhead once (used by streaming callers
-    /// pairing one invocation with many [`MlRuntime::run_batch_chunked`]
-    /// calls).
-    pub fn charge_invocation(&self) {
-        self.charge(self.config.invocation_overhead);
-    }
-
-    /// Score one (partition) batch and append the predictions as a `Float64`
-    /// column named `score_column`. This is the single source of truth for
-    /// the per-batch scoring stage of a streaming pipeline — both
-    /// [`MlRuntime::score_stream`] and the session's partition-parallel
-    /// scoring operator go through it. No per-invocation overhead is charged
-    /// (see [`MlRuntime::charge_invocation`]).
-    pub fn score_batch_into(
-        &self,
-        pipeline: &Pipeline,
-        batch: &Batch,
-        score_column: &str,
-    ) -> Result<Batch> {
-        let scores = self.run_batch_chunked(pipeline, batch)?;
-        batch
-            .with_column(
-                Field::new(score_column, DataType::Float64),
-                std::sync::Arc::new(Column::Float64(scores)),
-            )
-            .map_err(MlError::from)
-    }
-
-    /// Attach a scoring stage to a [`BatchStream`]: each partition batch is
-    /// scored as it arrives (chunked by `batch_size`, per-batch overhead per
-    /// chunk) and the predictions are appended as a `Float64` column named
-    /// `score_column`. The per-invocation overhead is charged once, up front —
-    /// the stream crosses the engine/runtime boundary once per query, not once
-    /// per partition. The input table is never concatenated. When the stream
-    /// is driven (`collect`/`concat`), scoring runs partition-parallel on the
-    /// process-wide work-stealing pool (`raven_columnar::pool`) alongside the
-    /// relational stages it is fused with.
-    pub fn score_stream(
-        &self,
-        pipeline: &Pipeline,
-        stream: BatchStream,
-        score_column: &str,
-    ) -> BatchStream {
-        self.charge_invocation();
-        let runtime = self.clone();
-        let pipeline = pipeline.clone();
-        let column = score_column.to_string();
-        let schema = stream.schema().clone();
-        // Mirror `Batch::with_column`: replace the field when the score
-        // column shadows an existing one, append otherwise.
-        let mut fields: Vec<Field> = schema.fields().to_vec();
-        match fields.iter_mut().find(|f| f.name() == column) {
-            Some(field) => *field = Field::new(&column, DataType::Float64),
-            None => fields.push(Field::new(&column, DataType::Float64)),
-        }
-        let out_schema = Schema::new(fields)
-            .map(std::sync::Arc::new)
-            .unwrap_or(schema);
-        stream.with_schema(out_schema).map(move |mut item| {
-            item.batch = runtime
-                .score_batch_into(&pipeline, &item.batch, &column)
-                .map_err(|e| ColumnarError::Execution(e.to_string()))?;
-            Ok(Some(item))
-        })
-    }
-
     /// Row-at-a-time interpreted evaluation (the SparkML-style baseline used
     /// in §7.1.1's comparison): binds and evaluates the pipeline one row at a
     /// time, paying the full graph-interpretation overhead per row.
@@ -366,7 +253,6 @@ impl MlRuntime {
         pipeline: &Pipeline,
         batch: &Batch,
     ) -> Result<Vec<f64>> {
-        self.charge(self.config.invocation_overhead);
         let mut scores = Vec::with_capacity(batch.num_rows());
         for row in 0..batch.num_rows() {
             let single = batch.slice(row, 1).map_err(MlError::from)?;
@@ -436,12 +322,6 @@ impl MlRuntime {
         values
             .remove(pipeline.output.as_str())
             .ok_or_else(|| MlError::InvalidPipeline("output value missing".into()))
-    }
-
-    fn charge(&self, cost: Duration) {
-        if !cost.is_zero() {
-            std::thread::sleep(cost);
-        }
     }
 }
 
@@ -640,10 +520,7 @@ mod tests {
 
     #[test]
     fn run_batch_chunked_matches_unchunked() {
-        let cfg = RuntimeConfig {
-            batch_size: 2,
-            ..RuntimeConfig::default()
-        };
+        let cfg = RuntimeConfig { batch_size: 2 };
         let chunked = MlRuntime::with_config(cfg)
             .run_batch(&pipeline(), &batch())
             .unwrap();
@@ -660,44 +537,11 @@ mod tests {
     }
 
     #[test]
-    fn score_stream_matches_run_batch_without_concat() {
-        use raven_columnar::{partition_by_column, BatchStream, PartitionSpec, Table};
-        let rt = MlRuntime::with_config(RuntimeConfig {
-            batch_size: 2,
-            ..RuntimeConfig::default()
-        });
-        let whole = batch();
-        let expected = MlRuntime::new().run_batch(&pipeline(), &whole).unwrap();
-        let table = Table::from_batch("t", whole).unwrap();
-        let table =
-            partition_by_column(&table, &PartitionSpec::RoundRobin { partitions: 3 }).unwrap();
-        for dop in [1, 2] {
-            let items = rt
-                .score_stream(&pipeline(), BatchStream::from_table(&table), "score")
-                .collect(dop)
-                .unwrap();
-            assert_eq!(items.len(), 3);
-            let mut streamed = Vec::new();
-            for item in &items {
-                assert!(item.batch.schema().contains("score"));
-                streamed.extend_from_slice(
-                    item.batch
-                        .column_by_name("score")
-                        .unwrap()
-                        .as_f64()
-                        .unwrap(),
-                );
-            }
-            assert_eq!(streamed, expected);
-        }
-    }
-
-    #[test]
     fn empty_batch_scores_empty() {
         let rt = MlRuntime::new();
         let empty = batch().slice(0, 0).unwrap();
         assert_eq!(
-            rt.run_batch_chunked(&pipeline(), &empty).unwrap(),
+            rt.run_batch(&pipeline(), &empty).unwrap(),
             Vec::<f64>::new()
         );
     }
@@ -752,18 +596,5 @@ mod tests {
         let col = Column::Utf8(vec!["1".into()]);
         let v = column_to_frame(&col, InputKind::Categorical).unwrap();
         assert_eq!(v.as_strings().unwrap().get(0, 0), "1");
-    }
-
-    #[test]
-    fn overhead_configuration_applies() {
-        let cfg = RuntimeConfig {
-            invocation_overhead: Duration::from_millis(5),
-            per_batch_overhead: Duration::from_millis(1),
-            batch_size: 1,
-        };
-        let rt = MlRuntime::with_config(cfg);
-        let start = std::time::Instant::now();
-        rt.run_batch(&pipeline(), &batch()).unwrap();
-        assert!(start.elapsed() >= Duration::from_millis(7));
     }
 }

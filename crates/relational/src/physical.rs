@@ -39,7 +39,7 @@ pub struct ExecutionContext {
     pub batch_size: usize,
     /// Skip partitions whose min/max statistics cannot satisfy the scan's
     /// pushed-down filters (the paper's data-induced compute pruning, §4.2).
-    /// Disabled by legacy/baseline plans that model engines without
+    /// Disabled by baseline plans that model engines without
     /// statistics-driven pruning.
     pub partition_pruning: bool,
     /// Filters produce zero-copy [`SelectionVector`] views that downstream
@@ -145,13 +145,6 @@ impl ExecutionMetrics {
     pub fn intermediate_materializations(&self) -> usize {
         self.intermediate_materializations.load(Ordering::Relaxed)
     }
-    /// Count full-batch copies performed between pipeline stages (used by the
-    /// session layer's materializing baseline paths so their copies show up
-    /// in the same counter).
-    pub fn record_intermediate_materializations(&self, n: usize) {
-        self.intermediate_materializations
-            .fetch_add(n, Ordering::Relaxed);
-    }
     /// Rows materialized into hash-join build tables — the observable trace
     /// of build-side selection (building on the estimated-smaller input makes
     /// this drop).
@@ -207,24 +200,6 @@ impl Executor {
             .output_rows
             .store(out.num_rows(), Ordering::Relaxed);
         Ok(out)
-    }
-
-    /// Execute a logical plan keeping the partition structure of its inputs
-    /// (each element of the result is one surviving partition's output).
-    /// This is an output boundary: per-partition selection vectors are
-    /// gathered into compact batches here.
-    pub fn execute_partitioned(
-        &self,
-        plan: &LogicalPlan,
-        catalog: &Catalog,
-        ctx: &ExecutionContext,
-    ) -> Result<Vec<Batch>> {
-        let stream = self.execute_stream(plan, catalog, ctx)?;
-        if raven_columnar::pool::parked_drive_active() {
-            self.metrics.parked_drives.fetch_add(1, Ordering::Relaxed);
-        }
-        let items = stream.collect(ctx.degree_of_parallelism)?;
-        items.into_iter().map(|i| Ok(i.compact()?.batch)).collect()
     }
 
     /// Compile a logical plan into a streaming, partition-parallel pipeline.

@@ -270,6 +270,9 @@ fn circuit_breaker_opens_then_recovers_after_cooldown() {
 /// background probe repairs the store and lifts the mode.
 #[test]
 fn degraded_read_only_mode_serves_reads_and_recovers() {
+    // hold the registry for the whole test, fault-free while it sets up:
+    // another test's schedule must not fire inside this one's healthy phase
+    let _guard = install_faults("");
     let base = std::env::temp_dir().join(format!("raven-chaos-degraded-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
     let config = ServerConfig {
@@ -291,7 +294,7 @@ fn degraded_read_only_mode_serves_reads_and_recovers() {
 
     // break every journal fsync from here on: the next mutation cannot be
     // made durable and must degrade the server instead of lying
-    let faults = install_faults("storage.journal.sync=fail*inf");
+    failpoint::configure("storage.journal.sync=fail*inf").expect("valid fault spec");
     let err = server
         .register_model(risk_pipeline("risk2", 0.8))
         .unwrap_err();
@@ -312,7 +315,7 @@ fn degraded_read_only_mode_serves_reads_and_recovers() {
     assert_eq!(sorted_ids(&server.sql(QUERY).unwrap().batch), baseline);
 
     // the fault clears → the probe repairs the journal and lifts the mode
-    drop(faults);
+    failpoint::clear();
     let deadline = Instant::now() + Duration::from_secs(5);
     while server.report().degraded_mode {
         assert!(Instant::now() < deadline, "probe never recovered");

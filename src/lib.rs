@@ -47,16 +47,17 @@
 //!   plan into per-partition operators fused onto the stream; **pipeline
 //!   breakers** — join build sides, aggregates, and limits — are the only
 //!   operators that gather their whole input.
-//! * `ml::MlRuntime` scores each arriving batch (`run_batch_chunked` /
-//!   `score_stream`) without concatenating the table, chunking by
-//!   `RuntimeConfig::batch_size` and charging the engine↔runtime boundary
-//!   overhead once per query.
+//! * `ml::MlRuntime` scores each arriving partition
+//!   (`score_batch_into_selected`) without concatenating the table, chunking
+//!   by `RuntimeConfig::batch_size`.
 //! * `core::RavenSession` drives predicate pushdown, statistics-based
 //!   **partition pruning** (observable as `ExecutionReport::pruned_partitions`),
 //!   scoring, and post-processing partition-parallel, and concatenates only
-//!   at the final output boundary. `core::ExecutionMode` selects between the
-//!   streaming pipeline (the default) and the legacy materialized plan (the
-//!   §7 baseline).
+//!   at the final output boundary. This is the one ML-runtime drive: the §7
+//!   "no-opt" baseline (`RavenConfig::no_opt`) runs it too, with data-induced
+//!   optimizations — and therefore statistics pruning — off, and the
+//!   row-interpreted / materializing baselines compact each partition before
+//!   scoring it.
 //!
 //! ## Architecture: vectorized scoring kernels and selection vectors
 //!

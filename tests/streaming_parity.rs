@@ -1,16 +1,19 @@
 //! Property tests for the streaming partition-parallel execution pipeline:
-//! for any randomly generated workload, the streaming path must produce
-//! row-identical output to the materialized path across dop ∈ {1, 4} and
-//! partitioned/unpartitioned tables, and statistics-based partition pruning
-//! must never change results. A fixed join case extends the parity to
-//! multi-table plans with a selective dimension filter.
+//! for any randomly generated workload, a prediction query must return
+//! bitwise the `(id, score)` rows of a materialized reference — the whole
+//! data side in one batch, filtered with `Batch::filter`, scored once with
+//! `MlRuntime::run_batch` — across dop ∈ {1, 4}, partitioned/unpartitioned
+//! tables, and statistics-based partition pruning on or off. A fixed join
+//! case extends the parity to multi-table plans with a selective dimension
+//! filter.
 
 use proptest::prelude::*;
 use raven::prelude::*;
 use raven_columnar::{partition_by_column, PartitionSpec, TableBuilder};
-use raven_core::ExecutionMode;
 use raven_ml::{InputKind, Operator, PipelineInput, PipelineNode, Tree, TreeEnsemble, TreeNode};
-use raven_relational::{col, lit, ExecutionContext, Executor, LogicalPlan, Optimizer};
+use raven_relational::{
+    col, evaluate_predicate, lit, ExecutionContext, Executor, LogicalPlan, Optimizer,
+};
 
 mod common;
 
@@ -112,6 +115,48 @@ fn partitioned(table: &Table, partitions: usize, by_range: bool) -> Table {
     partition_by_column(table, &spec).unwrap()
 }
 
+/// Sorted `(id, score bits)` of a batch: bitwise result identity.
+fn id_score_bits(batch: &Batch, score: &str) -> Vec<(i64, u64)> {
+    let ids = batch.column_by_name("id").unwrap().as_i64().unwrap();
+    let scores = batch.column_by_name(score).unwrap().as_f64().unwrap();
+    let mut rows: Vec<(i64, u64)> = ids
+        .iter()
+        .zip(scores)
+        .map(|(id, s)| (*id, s.to_bits()))
+        .collect();
+    rows.sort_unstable();
+    rows
+}
+
+/// The materialized reference of a prediction query: filter the whole data
+/// side with `input`, score every surviving row with `MlRuntime::run_batch`,
+/// keep the rows satisfying `output` (over the score column `score`), and
+/// return their sorted `(id, score bits)`.
+fn reference_rows(
+    data: &Batch,
+    input: &Expr,
+    pipeline: &Pipeline,
+    score: &str,
+    output: Option<&Expr>,
+) -> Vec<(i64, u64)> {
+    let filtered = data
+        .filter(&evaluate_predicate(input, data).unwrap())
+        .unwrap();
+    let scores = MlRuntime::new().run_batch(pipeline, &filtered).unwrap();
+    let mut scored = filtered
+        .with_column(
+            Field::new(score, DataType::Float64),
+            std::sync::Arc::new(Column::Float64(scores)),
+        )
+        .unwrap();
+    if let Some(output) = output {
+        scored = scored
+            .filter(&evaluate_predicate(output, &scored).unwrap())
+            .unwrap();
+    }
+    id_score_bits(&scored, score)
+}
+
 fn sorted_ids(batch: &Batch) -> Vec<i64> {
     let mut v = batch
         .column_by_name("id")
@@ -142,7 +187,7 @@ proptest! {
 
     /// Relational layer: for any query, the streaming executor with
     /// statistics-based partition pruning produces exactly the rows of the
-    /// legacy no-pruning execution, at dop 1 and 4.
+    /// same plan executed without pruning, at dop 1 and 4.
     #[test]
     fn relational_pruning_never_changes_results(
         (rows, seed, partitions, by_range, threshold) in workload(),
@@ -154,7 +199,7 @@ proptest! {
             .filter(col("age").gt_eq(lit(threshold)))
             .project(vec![col("id"), col("age")]);
         let plan = Optimizer::new().optimize(&plan, &catalog).unwrap();
-        let legacy = Executor::new()
+        let unpruned = Executor::new()
             .execute(
                 &plan,
                 &catalog,
@@ -177,48 +222,59 @@ proptest! {
                     },
                 )
                 .unwrap();
-            prop_assert_eq!(sorted_ids(&streamed), sorted_ids(&legacy));
+            prop_assert_eq!(sorted_ids(&streamed), sorted_ids(&unpruned));
         }
     }
 
-    /// Session layer: any prediction query executed via the streaming
-    /// pipeline produces row-identical output to the materialized path,
-    /// across dop ∈ {1, 4} and partitioned/unpartitioned tables.
+    /// Session layer: any prediction query returns bitwise the rows of the
+    /// materialized reference, across dop ∈ {1, 4}, partitioned and
+    /// unpartitioned tables, and statistics pruning on or off.
     #[test]
     fn session_streaming_matches_materialized(
         (rows, seed, partitions, by_range, threshold) in workload(),
     ) {
-        let table = partitioned(&patient_table(rows, seed), partitions, by_range);
+        let unpartitioned = patient_table(rows, seed);
+        let table = partitioned(&unpartitioned, partitions, by_range);
         let mut session = RavenSession::new();
         session.register_table(table);
         session.register_model(risk_pipeline());
         session.config_mut().runtime_policy = RuntimePolicy::NoTransform;
+        let threshold = format!("{threshold:.3}");
         let query = format!(
             "SELECT d.id, p.risk FROM PREDICT(MODEL = risk_model, DATA = patients AS d) \
-             WITH (risk float) AS p WHERE d.age >= {threshold:.3} AND p.risk >= 0.2"
+             WITH (risk float) AS p WHERE d.age >= {threshold} AND p.risk >= 0.2"
+        );
+        let expected = reference_rows(
+            &unpartitioned.to_batch().unwrap(),
+            &col("age").gt_eq(lit(threshold.parse::<f64>().unwrap())),
+            &risk_pipeline(),
+            "risk",
+            Some(&col("risk").gt_eq(lit(0.2))),
         );
 
-        session.config_mut().execution_mode = ExecutionMode::Materialized;
-        let materialized = session.sql(&query).unwrap();
-        prop_assert_eq!(materialized.report.pruned_partitions, 0);
-
         for dop in test_dops() {
-            session.config_mut().execution_mode = ExecutionMode::Streaming;
-            session.config_mut().degree_of_parallelism = dop;
-            let streamed = session.sql(&query).unwrap();
-            prop_assert_eq!(
-                sorted_ids(&streamed.batch),
-                sorted_ids(&materialized.batch),
-                "streaming (dop {}) diverged from materialized on {} partitions",
-                dop,
-                partitions
-            );
-            // pruning is observable but must never change results (asserted
-            // above); pruned + streamed covers every partition
-            prop_assert_eq!(
-                streamed.report.pruned_partitions + streamed.report.streamed_partitions,
-                partitions.max(1)
-            );
+            for data_induced in [false, true] {
+                session.config_mut().degree_of_parallelism = dop;
+                session.config_mut().enable_data_induced = data_induced;
+                let out = session.sql(&query).unwrap();
+                prop_assert_eq!(
+                    id_score_bits(&out.batch, "risk"),
+                    expected.clone(),
+                    "dop {}, pruning {} diverged from the reference on {} partitions",
+                    dop,
+                    data_induced,
+                    partitions
+                );
+                // pruned + streamed covers every partition; nothing is
+                // pruned with data-induced optimizations off
+                prop_assert_eq!(
+                    out.report.pruned_partitions + out.report.streamed_partitions,
+                    partitions.max(1)
+                );
+                if !data_induced {
+                    prop_assert_eq!(out.report.pruned_partitions, 0);
+                }
+            }
         }
     }
 }
@@ -289,47 +345,53 @@ fn amount_model() -> Pipeline {
     .unwrap()
 }
 
-/// Sorted `(id, score bits)` of a join query's output.
-fn id_score_bits(batch: &Batch) -> Vec<(i64, u64)> {
-    let ids = batch.column_by_name("id").unwrap().as_i64().unwrap();
-    let scores = batch.column_by_name("score").unwrap().as_f64().unwrap();
-    let mut rows: Vec<(i64, u64)> = ids
-        .iter()
-        .zip(scores)
-        .map(|(id, s)| (*id, s.to_bits()))
-        .collect();
-    rows.sort_unstable();
-    rows
-}
-
 /// Session layer, multi-table: `orders ⋈ customers` with a ~2% dimension
-/// filter returns bitwise-identical `(id, score)` rows under both execution
-/// modes at every tested dop.
+/// filter returns bitwise the `(id, score)` rows of the materialized
+/// reference — the join run by `Executor::execute` without partition
+/// pruning — at every tested dop, with statistics pruning on or off.
 #[test]
 fn join_with_dimension_filter_streaming_matches_materialized() {
+    let mut catalog = raven_relational::Catalog::new();
+    catalog.register(orders(20_000));
+    catalog.register(customers());
+    let joined = Executor::new()
+        .execute(
+            &LogicalPlan::scan("orders").join(
+                LogicalPlan::scan("customers"),
+                "cust_id",
+                "cust_key",
+            ),
+            &catalog,
+            &ExecutionContext {
+                partition_pruning: false,
+                ..ExecutionContext::default()
+            },
+        )
+        .unwrap();
+    let expected = reference_rows(
+        &joined,
+        &col("tier").lt(lit(0.02)),
+        &amount_model(),
+        "score",
+        None,
+    );
+    assert!(!expected.is_empty());
+
     let mut session = RavenSession::new();
     session.register_table(orders(20_000));
     session.register_table(customers());
     session.register_model(amount_model());
     session.config_mut().runtime_policy = RuntimePolicy::NoTransform;
-
-    let mut reference: Option<Vec<(i64, u64)>> = None;
     for dop in test_dops() {
-        for mode in [ExecutionMode::Materialized, ExecutionMode::Streaming] {
-            session.config_mut().execution_mode = mode;
+        for data_induced in [false, true] {
             session.config_mut().degree_of_parallelism = dop;
+            session.config_mut().enable_data_induced = data_induced;
             let out = session.sql(JOIN_QUERY).unwrap();
-            assert_eq!(out.report.execution_mode, mode);
-            let rows = id_score_bits(&out.batch);
-            match &reference {
-                None => {
-                    assert!(!rows.is_empty());
-                    reference = Some(rows);
-                }
-                Some(expected) => {
-                    assert_eq!(&rows, expected, "{} (dop {dop}) diverged", mode.name())
-                }
-            }
+            assert_eq!(
+                id_score_bits(&out.batch, "score"),
+                expected,
+                "dop {dop}, pruning {data_induced} diverged from the reference"
+            );
         }
     }
 }
