@@ -4,7 +4,7 @@
 //! drives degraded read-only mode. Gates: zero panics, bitwise-identical
 //! successful responses vs the fault-free oracle, degraded mode entered and
 //! exited cleanly, and post-fault throughput restored.
-//! Usage: chaos_study [rows] [requests] [clients]
+//! Usage: `chaos_study [rows] [requests] [clients]`
 fn main() {
     let arg = |i: usize| std::env::args().nth(i).and_then(|s| s.parse().ok());
     let rows = arg(1).unwrap_or(2_000);

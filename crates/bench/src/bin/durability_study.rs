@@ -2,7 +2,7 @@
 //! pre-warm) vs. cold rebuild (regenerate + retrain + register) to the first
 //! answered query, plus a kill-9 crash scenario — this binary re-execs
 //! itself as the victim writer and SIGKILLs it mid-journal-append.
-//! Usage: durability_study [rows] [runs]
+//! Usage: `durability_study [rows] [runs]`
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     if args.get(1).map(String::as_str) == Some("--crash-writer") {

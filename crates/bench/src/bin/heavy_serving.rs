@@ -1,6 +1,6 @@
 //! Heavy-traffic mixed-tenant serving smoke: cross-request SQL fusion A/B
 //! against the one-drive-per-request oracle, with tenant QoS gates.
-//! Usage: heavy_serving [rows] [requests] [clients]
+//! Usage: `heavy_serving [rows] [requests] [clients]`
 fn main() {
     let arg = |i: usize| std::env::args().nth(i).and_then(|s| s.parse().ok());
     let rows = arg(1).unwrap_or(2_000);

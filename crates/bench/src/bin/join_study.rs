@@ -1,7 +1,7 @@
 //! Join-optimizer study: cost-based join reordering + build-side selection
 //! vs. the as-written join order on the 5-table star workload, with the
 //! model-pruning join-elimination demonstration.
-//! Usage: join_study [rows] [runs]
+//! Usage: `join_study [rows] [runs]`
 fn main() {
     let arg = |i: usize| std::env::args().nth(i).and_then(|s| s.parse().ok());
     let rows = arg(1).unwrap_or(40_000);

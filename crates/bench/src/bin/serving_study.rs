@@ -1,7 +1,7 @@
 //! Prediction-serving study: per-request optimization vs. prepared+cached
 //! execution, single-client vs. concurrent scheduling, and point-request
 //! micro-batching, with cache hit rates and latency percentiles.
-//! Usage: serving_study [rows] [requests] [clients]
+//! Usage: `serving_study [rows] [requests] [clients]`
 fn main() {
     let arg = |i: usize| std::env::args().nth(i).and_then(|s| s.parse().ok());
     let rows = arg(1).unwrap_or(2_000);

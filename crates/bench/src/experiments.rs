@@ -1610,10 +1610,7 @@ fn join_study_impl(rows: usize, runs: usize, write_artifact: bool) -> JoinStudyR
     scenario.session.register_model(lr_pruned);
     let count_joins = |session: &raven_core::RavenSession, q: &str| -> usize {
         let prepared = session.prepare(q).expect("prepare for explain");
-        session
-            .explain_prepared(&prepared)
-            .map(|e| e.matches("Join:").count())
-            .unwrap_or(0)
+        session.explain_prepared(&prepared).matches("Join:").count()
     };
     let joins_full_model = count_joins(&scenario.session, &query.replace("star5_gb", "star5_lr"));
     let joins_pruned_model = count_joins(
@@ -1626,9 +1623,10 @@ fn join_study_impl(rows: usize, runs: usize, write_artifact: bool) -> JoinStudyR
         .session
         .prepare(&query)
         .expect("prepare study query");
-    if let Some(explain) = scenario.session.explain_prepared(&prepared) {
-        println!("cost-based plan:\n{explain}");
-    }
+    println!(
+        "cost-based plan:\n{}",
+        scenario.session.explain_prepared(&prepared)
+    );
 
     println!(
         "| {:<28} | {:>10} | {:>12} |",

@@ -9,7 +9,7 @@ use crate::cross_opt::{
 };
 use crate::data_induced::{apply_global_data_induced, compile_partition_models, DataInducedReport};
 use crate::error::{RavenError, Result};
-use crate::mltodnn::apply_ml_to_dnn;
+use crate::mltodnn::{apply_ml_to_dnn, DnnPlan};
 use crate::mltosql::pipeline_to_sql;
 use crate::stats::PipelineStats;
 use crate::strategy::{OptimizationStrategy, TransformChoice};
@@ -19,8 +19,8 @@ use raven_columnar::{
 use raven_ir::{parse_prediction_query, ModelRegistry, UnifiedPlan};
 use raven_ml::{bind_batch, CompiledPipeline, MlRuntime, Pipeline, RuntimeConfig};
 use raven_relational::{
-    col, evaluate, evaluate_predicate, may_satisfy_all, selection_vectors_default, Catalog,
-    ExecutionContext, Executor, Expr, LogicalPlan, Optimizer,
+    aggregate_items, col, evaluate, evaluate_predicate, evaluate_selected,
+    selection_vectors_default, Catalog, ExecutionContext, Executor, Expr, LogicalPlan, Optimizer,
 };
 use raven_storage::DurableStore;
 use raven_tensor::{Device, Strategy};
@@ -145,13 +145,16 @@ pub struct ExecutionReport {
     pub transform_fallback: bool,
     /// Time spent in the Raven optimizer itself.
     pub optimization_time: Duration,
-    /// Time spent in the data engine.
+    /// Time spent in the data engine: the drive's wall time minus the
+    /// measured ML / DNN scoring time. MLtoSQL's scoring expression is
+    /// relational work and counts here.
     pub data_time: Duration,
-    /// Time spent in the ML / DNN runtime (zero for MLtoSQL). On the
-    /// ML-runtime path this is the per-partition scoring time summed across
-    /// workers and capped at the wall clock — exact at dop 1, a
-    /// scoring-share attribution at dop > 1 (`data_time + ml_time` always
-    /// partitions the measured wall time).
+    /// Time spent in the ML / DNN runtime: the score op's ML-runtime or
+    /// featurize + tensor-model time, summed across workers and capped at
+    /// the wall clock — exact at dop 1, a scoring-share attribution at
+    /// dop > 1 (`data_time + ml_time` partitions the measured wall time).
+    /// Zero for MLtoSQL. On a simulated GPU the tensor model's share is the
+    /// device-reported (modeled) time instead, see `ml_time_modeled`.
     pub ml_time: Duration,
     /// End-to-end time (optimization excluded), using the device-reported
     /// time for simulated GPUs.
@@ -164,7 +167,9 @@ pub struct ExecutionReport {
     /// could not satisfy the query's input predicates (data-induced compute
     /// pruning, §4.2). Always 0 when `enable_data_induced` is off.
     pub pruned_partitions: usize,
-    /// Partitions that flowed through the streaming scoring pipeline.
+    /// Table partitions the data side scanned, join build sides included;
+    /// with `pruned_partitions` they cover every partition of every scanned
+    /// table.
     pub streamed_partitions: usize,
     /// Full batch copies performed between pipeline stages (filters
     /// materializing surviving rows). Zero with selection vectors: filters
@@ -179,74 +184,6 @@ pub struct ExecutionReport {
     pub join_build_rows: usize,
     /// Partition batches that probed a join hash table on the data side.
     pub join_probe_batches: usize,
-}
-
-/// Internal result of one execution path (ML runtime / MLtoSQL / MLtoDNN),
-/// folded into the public [`ExecutionReport`].
-#[derive(Debug)]
-struct PathOutcome {
-    batch: Batch,
-    data_time: Duration,
-    ml_time: Duration,
-    ml_time_modeled: bool,
-    fallback: bool,
-    partition_report: Option<DataInducedReport>,
-    pruned_partitions: usize,
-    streamed_partitions: usize,
-    intermediate_materializations: usize,
-    join_build_rows: usize,
-    join_probe_batches: usize,
-}
-
-impl PathOutcome {
-    fn new(batch: Batch) -> Self {
-        PathOutcome {
-            batch,
-            data_time: Duration::ZERO,
-            ml_time: Duration::ZERO,
-            ml_time_modeled: false,
-            fallback: false,
-            partition_report: None,
-            pruned_partitions: 0,
-            streamed_partitions: 0,
-            intermediate_materializations: 0,
-            join_build_rows: 0,
-            join_probe_batches: 0,
-        }
-    }
-
-    /// Fold one executor-counter snapshot into this outcome (additive, so
-    /// paths that run several relational plans accumulate).
-    fn apply_counters(&mut self, c: EngineCounters) {
-        self.pruned_partitions += c.pruned_partitions;
-        self.streamed_partitions += c.streamed_partitions;
-        self.intermediate_materializations += c.intermediate_materializations;
-        self.join_build_rows += c.join_build_rows;
-        self.join_probe_batches += c.join_probe_batches;
-    }
-}
-
-/// Snapshot of the relational executor's counters after one plan run, folded
-/// into the [`ExecutionReport`].
-#[derive(Debug, Clone, Copy)]
-struct EngineCounters {
-    pruned_partitions: usize,
-    streamed_partitions: usize,
-    intermediate_materializations: usize,
-    join_build_rows: usize,
-    join_probe_batches: usize,
-}
-
-impl EngineCounters {
-    fn from_metrics(metrics: &raven_relational::ExecutionMetrics) -> Self {
-        EngineCounters {
-            pruned_partitions: metrics.partitions_pruned(),
-            streamed_partitions: metrics.partitions_scanned(),
-            intermediate_materializations: metrics.intermediate_materializations(),
-            join_build_rows: metrics.join_build_rows(),
-            join_probe_batches: metrics.join_probe_batches(),
-        }
-    }
 }
 
 /// The result of executing a prediction query.
@@ -286,43 +223,185 @@ pub struct ModelCacheHooks<'a> {
     pub store: &'a mut dyn FnMut(&str, &CompiledModels),
 }
 
-/// The physical artifact a [`PreparedStatement`] replays on execution — the
-/// expensive, per-query-shape work (relational optimization, SQL generation,
-/// tensor compilation, per-partition model compilation) done exactly once at
-/// prepare time.
+/// How the drive scores one stream element: the logical-to-physical
+/// transformation (§5), resolved once at prepare time. Every scorer takes a
+/// `(batch, selection)` element and appends the prediction as a full-length
+/// `Float64` column (NaN on deselected rows), so the selection keeps flowing
+/// to the one gather at the output.
 #[derive(Debug, Clone)]
-enum PreparedArtifact {
-    /// MLtoSQL: the whole query lowered to one optimized relational plan.
-    Sql { relational: Arc<LogicalPlan> },
-    /// MLtoDNN: compiled tensor model + the optimized data-side plan.
-    Dnn {
-        dnn: Arc<crate::mltodnn::DnnPlan>,
-        data: Arc<LogicalPlan>,
-    },
-    /// ML-runtime path (and the §7 baselines).
-    MlRuntime(MlRuntimePlan),
+enum Scorer {
+    /// The ML runtime and the §7 baselines: one compiled pipeline shared by
+    /// every partition, or — with partition models — one per table
+    /// partition, picked by the element's source partition index.
+    /// Executions (serving-tier plan-cache hits included) run only the
+    /// kernels compiled at prepare time; `RAVEN_SCORER=interpreted` pins
+    /// the interpreted parity baseline at scoring time.
+    Compiled(Arc<Vec<CompiledPipeline>>),
+    /// MLtoSQL: the pipeline as one relational expression, evaluated on the
+    /// selected rows only. It is relational work, charged as data time.
+    Expr(Arc<Expr>),
+    /// MLtoDNN: featurizers on the ML runtime, then the tensor model on the
+    /// configured device. The drive hands it the whole data side as one
+    /// element, because a simulated GPU charges its launch overhead on every
+    /// call.
+    Tensor(Arc<DnnPlan>),
 }
 
-/// Lowered form of the ML-runtime execution path.
-#[derive(Debug, Clone)]
-struct MlRuntimePlan {
-    /// The optimized relational data-side plan. `None` on the per-partition
-    /// compiled-models path, which streams the scanned table directly so
-    /// partition indices stay aligned with the model vector.
-    data: Option<Arc<LogicalPlan>>,
-    /// The scanned table, on the per-partition compiled-models path.
-    scan_table: Option<String>,
-    /// The pipeline(s) to score with, each carrying its flattened
-    /// struct-of-arrays scoring kernels compiled at prepare time: one per
-    /// partition on the partition-models path, a single shared pipeline
-    /// otherwise. Executions (including serving-tier plan-cache hits) run
-    /// only the compiled kernels; `RAVEN_SCORER=interpreted` pins the
-    /// interpreted parity baseline at scoring time.
-    models: Arc<Vec<CompiledPipeline>>,
-    /// Partition-model compilation report (folded into the execution report).
-    partition_report: Option<DataInducedReport>,
-    /// Schema of the data side's output (drives the empty boundary batch).
-    schema: raven_columnar::SchemaRef,
+impl Scorer {
+    /// The EXPLAIN header line: which runtime scores, and over how many
+    /// partition-specialized models.
+    fn describe(&self) -> String {
+        let (name, partition_models) = match self {
+            Scorer::Compiled(models) if models.len() > 1 => ("Compiled (ML runtime)", models.len()),
+            Scorer::Compiled(_) => ("Compiled (ML runtime)", 0),
+            Scorer::Expr(_) => ("Expr (MLtoSQL)", 0),
+            Scorer::Tensor(_) => ("Tensor (MLtoDNN)", 0),
+        };
+        format!("Scorer: {name}, partition models: {partition_models}")
+    }
+
+    /// Append the `prediction` column to one stream element. ML-runtime and
+    /// DNN scoring time goes to `clock`; the §7 baselines and the tensor
+    /// model score a compacted element.
+    fn score(
+        &self,
+        mut item: StreamBatch,
+        prediction: &str,
+        runtime: &MlRuntime,
+        baseline: BaselineMode,
+        clock: &ScoreClock,
+    ) -> Result<StreamBatch> {
+        let t0 = Instant::now();
+        match self {
+            Scorer::Compiled(models) => {
+                let compiled = match models.as_slice() {
+                    [shared] => shared,
+                    per_partition => per_partition.get(item.partition).ok_or_else(|| {
+                        RavenError::Ml(format!(
+                            "no compiled model for partition {} ({} partition models)",
+                            item.partition,
+                            per_partition.len()
+                        ))
+                    })?,
+                };
+                item.batch = if baseline == BaselineMode::Vectorized {
+                    runtime.score_batch_into_selected(
+                        compiled,
+                        &item.batch,
+                        item.selection.as_ref(),
+                        prediction,
+                    )?
+                } else {
+                    item = item.compact()?;
+                    let scores = score_batch(baseline, runtime, compiled.pipeline(), &item.batch)?;
+                    attach_scores(&item.batch, prediction, scores)?
+                };
+                clock.charge(t0.elapsed(), t0.elapsed());
+            }
+            Scorer::Expr(expr) => {
+                let values = match &item.selection {
+                    None => evaluate(expr, &item.batch)?,
+                    Some(sel) => evaluate_selected(expr, &item.batch, sel)?,
+                };
+                let values = match Arc::try_unwrap(values) {
+                    Ok(Column::Float64(v)) => v,
+                    Ok(other) => other.to_f64_vec()?,
+                    Err(shared) => shared.to_f64_vec()?,
+                };
+                let scores = match item.selection.as_ref().and_then(|s| s.indices()) {
+                    None => values,
+                    Some(rows) => {
+                        let mut full = vec![f64::NAN; item.batch.num_rows()];
+                        for (&row, v) in rows.iter().zip(values) {
+                            full[row as usize] = v;
+                        }
+                        full
+                    }
+                };
+                item.batch = attach_scores(&item.batch, prediction, scores)?;
+            }
+            Scorer::Tensor(dnn) => {
+                item = item.compact()?;
+                // the featurizer's buffers are freed inside the measured
+                // span, so a modeled device's total excludes them
+                let (featurize_time, run) = {
+                    let inputs = bind_batch(&dnn.featurizer, &item.batch)?;
+                    let features = runtime.run(&dnn.featurizer, &inputs)?;
+                    let featurize_time = t0.elapsed();
+                    (featurize_time, dnn.model.run(features.as_numeric()?)?)
+                };
+                clock.charge(t0.elapsed(), featurize_time + run.reported);
+                item.batch = attach_scores(&item.batch, prediction, run.scores)?;
+            }
+        }
+        Ok(item)
+    }
+}
+
+/// Scoring time a drive's workers accumulate.
+#[derive(Debug, Default)]
+struct ScoreClock {
+    /// Wall time measured inside ML-runtime and DNN scoring calls, summed
+    /// across workers.
+    measured_nanos: AtomicU64,
+    /// The same calls as the device reports them: the measured time, except
+    /// for a simulated GPU's modeled time.
+    reported_nanos: AtomicU64,
+}
+
+impl ScoreClock {
+    fn charge(&self, measured: Duration, reported: Duration) {
+        self.measured_nanos
+            .fetch_add(measured.as_nanos() as u64, Ordering::Relaxed);
+        self.reported_nanos
+            .fetch_add(reported.as_nanos() as u64, Ordering::Relaxed);
+    }
+}
+
+/// The per-partition operators after the data side: the scorer, then the
+/// output predicates, then the final projection. A filter refines the
+/// selection, or copies the surviving rows when `selection_vectors` is off,
+/// each copy counted in `copies`. The projection replaces the columns
+/// row-aligned with the source, so the selection survives it untouched.
+struct ScoringChain {
+    scorer: Scorer,
+    prediction: String,
+    runtime: MlRuntime,
+    baseline: BaselineMode,
+    output_preds: Vec<Expr>,
+    projection: Vec<Expr>,
+    selection_vectors: bool,
+    clock: ScoreClock,
+    copies: AtomicUsize,
+}
+
+impl ScoringChain {
+    fn run(&self, item: StreamBatch) -> Result<StreamBatch> {
+        let mut item = self.scorer.score(
+            item,
+            &self.prediction,
+            &self.runtime,
+            self.baseline,
+            &self.clock,
+        )?;
+        for p in &self.output_preds {
+            let mask = evaluate_predicate(p, &item.batch)?;
+            if item.apply_mask(&mask, self.selection_vectors)? {
+                self.copies.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        if !self.projection.is_empty() {
+            let mut columns = Vec::with_capacity(self.projection.len());
+            let mut fields = Vec::with_capacity(self.projection.len());
+            for e in &self.projection {
+                let c = evaluate(e, &item.batch)?;
+                fields.push(Field::new(e.output_name(), c.data_type()));
+                columns.push(c);
+            }
+            item.batch = Batch::new(Arc::new(raven_columnar::Schema::new(fields)?), columns)?;
+        }
+        Ok(item)
+    }
 }
 
 /// A prediction query prepared once — parsed, cross-optimized, and lowered to
@@ -344,7 +423,10 @@ pub struct PreparedStatement {
     optimization_time: Duration,
     catalog_epoch: u64,
     registry_epoch: u64,
-    artifact: PreparedArtifact,
+    /// The optimized relational data-side plan the drive streams.
+    data: Arc<LogicalPlan>,
+    /// How the drive scores each partition of it.
+    scorer: Scorer,
 }
 
 impl PreparedStatement {
@@ -640,14 +722,18 @@ impl RavenSession {
         mut hooks: Option<&mut ModelCacheHooks<'_>>,
     ) -> Result<PreparedStatement> {
         let opt_start = Instant::now();
-        let (optimized, transform, cross, data_induced, point_pipeline) =
+        let (optimized, transform, cross, mut data_induced, point_pipeline) =
             self.optimize_stages(plan)?;
         let point_pipeline = Arc::new(point_pipeline);
         let point_compiled = Arc::new(
             CompiledPipeline::from_arc(point_pipeline.clone())
                 .map_err(|e| RavenError::Ml(e.to_string()))?,
         );
-        let (artifact, fallback) = self.lower(&optimized, transform, &mut hooks)?;
+        let (scorer, fallback) =
+            self.lower_scorer(&optimized, transform, &mut data_induced, &mut hooks)?;
+        let data = self
+            .relational_optimizer()
+            .optimize(&self.data_side_plan(&optimized), &self.catalog)?;
         Ok(PreparedStatement {
             plan: Arc::new(optimized),
             point_pipeline,
@@ -659,7 +745,8 @@ impl RavenSession {
             optimization_time: opt_start.elapsed(),
             catalog_epoch: self.catalog.epoch(),
             registry_epoch: self.registry.epoch(),
-            artifact,
+            data: Arc::new(data),
+            scorer,
         })
     }
 
@@ -723,29 +810,32 @@ impl RavenSession {
         self.execute_prepared(&prepared)
     }
 
-    /// Render the prepared statement's relational data-side plan
-    /// EXPLAIN-style, annotating every node with the cost model's estimated
-    /// output cardinality (`rows≈`). The plan shown is exactly what executes:
-    /// after model-projection pushdown, PK-FK join elimination, and
-    /// cost-based join reordering, so dropped dimension joins and the chosen
-    /// join order are directly observable. Returns `None` for prepared
-    /// artifacts with no relational plan (per-partition compiled models
-    /// stream their table directly).
-    pub fn explain_prepared(&self, prepared: &PreparedStatement) -> Option<String> {
-        let plan = match &prepared.artifact {
-            PreparedArtifact::Sql { relational } => relational,
-            PreparedArtifact::Dnn { data, .. } => data,
-            PreparedArtifact::MlRuntime(lowered) => lowered.data.as_ref()?,
-        };
-        Some(raven_relational::explain_with_estimates(
-            plan,
-            &self.catalog,
-        ))
+    /// Render the prepared statement EXPLAIN-style. The first line names the
+    /// scorer and its partition-model count; the rest is the relational
+    /// data-side plan with every node annotated with the cost model's
+    /// estimated output cardinality (`rows≈`). The plan shown is exactly what
+    /// executes: after model-projection pushdown, PK-FK join elimination,
+    /// and cost-based join reordering, so dropped dimension joins and the
+    /// chosen join order are directly observable.
+    pub fn explain_prepared(&self, prepared: &PreparedStatement) -> String {
+        format!(
+            "{}\n{}",
+            prepared.scorer.describe(),
+            raven_relational::explain_with_estimates(&prepared.data, &self.catalog)
+        )
     }
 
     /// Execute a prepared statement. Only the residual, data-dependent work
     /// runs: scans, filters, scoring, post-processing. The report's
     /// `optimization_time` is the statement's one-time prepare cost.
+    ///
+    /// Every transform runs the same drive: the data-side plan streams
+    /// partition by partition through the score op, the output predicates
+    /// and the final projection, fused per partition on the process-wide
+    /// work-stealing pool (bounded by this query's `degree_of_parallelism`).
+    /// The surviving rows are gathered once: by the final aggregate, the one
+    /// pipeline breaker after scoring, or else by one concat at the output
+    /// boundary.
     ///
     /// Fails with [`RavenError::Config`] when the statement is stale — a
     /// table or model was registered after it was prepared. Its artifacts
@@ -763,52 +853,101 @@ impl RavenSession {
                 self.registry.epoch()
             )));
         }
-        let exec_start = Instant::now();
-        let outcome = match &prepared.artifact {
-            PreparedArtifact::Sql { relational } => self.run_ml_to_sql(relational)?,
-            PreparedArtifact::Dnn { dnn, data } => self.run_ml_to_dnn(&prepared.plan, dnn, data)?,
-            PreparedArtifact::MlRuntime(lowered) => self.run_ml_runtime(&prepared.plan, lowered)?,
-        };
-        let mut data_induced = prepared.data_induced.clone();
-        if let Some(p) = &outcome.partition_report {
-            data_induced.partition_models = p.partition_models;
-            data_induced.avg_pruned_columns_per_partition = p.avg_pruned_columns_per_partition;
+        let plan = &prepared.plan;
+        let ctx = self.execution_context();
+        let dop = ctx.degree_of_parallelism;
+        let wall = Instant::now();
+
+        // 1. the data side as a partition stream; the tensor model takes the
+        //    whole data side as one element
+        let exec = Executor::new();
+        let mut stream = exec.execute_stream(&prepared.data, &self.catalog, &ctx)?;
+        if let Scorer::Tensor(_) = prepared.scorer {
+            stream = BatchStream::once(stream.concat(dop)?);
         }
-        let measured_total = exec_start.elapsed();
-        let intermediate_materializations = outcome.intermediate_materializations;
-        // When the ML time is modeled (simulated GPU) the end-to-end total is
-        // data time + modeled ML time rather than the measured wall clock.
-        let total_time = if outcome.ml_time_modeled {
-            outcome.data_time + outcome.ml_time
-        } else {
-            measured_total
+        let source_schema = stream.schema().clone();
+
+        // 2. score and post-process each partition, fused into the stream
+        let chain = Arc::new(ScoringChain {
+            scorer: prepared.scorer.clone(),
+            prediction: plan.prediction_column.clone(),
+            runtime: MlRuntime::with_config(self.config.ml_runtime.clone()),
+            baseline: self.config.baseline,
+            output_preds: plan.output_predicates().into_iter().cloned().collect(),
+            projection: plan.projection.clone(),
+            selection_vectors: ctx.selection_vectors,
+            clock: ScoreClock::default(),
+            copies: AtomicUsize::new(0),
+        });
+        let mut items = stream
+            .map({
+                let chain = chain.clone();
+                move |item| chain.run(item).map(Some).map_err(stream_err)
+            })
+            .collect(dop)?;
+        if items.is_empty() {
+            // every partition pruned or empty: push one empty batch of the
+            // source schema through the same chain so the output schema
+            // (score column, projection, aggregate) is still correct
+            items.push(chain.run(StreamBatch::new(Batch::empty(source_schema)?, 0))?);
+        }
+
+        // 3. the one gather of surviving rows
+        let batch = match &plan.aggregate {
+            Some((group_by, aggs)) => {
+                aggregate_items(items[0].batch.schema(), &items, group_by, aggs)?
+            }
+            None if items.len() == 1 => items.swap_remove(0).compact()?.batch,
+            None => {
+                let parts: Vec<_> = items
+                    .iter()
+                    .map(|i| (&i.batch, i.selection.as_ref()))
+                    .collect();
+                Batch::concat_selected(&parts)?
+            }
         };
-        let fallback = prepared.fallback || outcome.fallback;
+
+        // Per-partition scoring durations accumulate across concurrent
+        // workers, so at dop > 1 the sum is CPU time, not wall time. Cap at
+        // the wall clock so `data_time + ml_time` always partitions the
+        // measured total: exact at dop 1, a scoring-share attribution above.
+        // A simulated GPU reports modeled time instead, and the end-to-end
+        // total becomes data time + modeled ML time.
+        let wall_time = wall.elapsed();
+        let measured =
+            Duration::from_nanos(chain.clock.measured_nanos.load(Ordering::Relaxed)).min(wall_time);
+        let ml_time_modeled =
+            matches!(&prepared.scorer, Scorer::Tensor(dnn) if dnn.model.device.is_simulated());
+        let ml_time = if ml_time_modeled {
+            Duration::from_nanos(chain.clock.reported_nanos.load(Ordering::Relaxed))
+        } else {
+            measured
+        };
+        let data_time = wall_time - measured;
+        let metrics = exec.metrics();
         let report = ExecutionReport {
             cross: prepared.cross.clone(),
-            data_induced,
-            transform: if fallback {
-                TransformChoice::None
-            } else {
-                prepared.transform
-            },
-            transform_fallback: fallback,
+            data_induced: prepared.data_induced.clone(),
+            transform: prepared.transform(),
+            transform_fallback: prepared.fallback,
             optimization_time: prepared.optimization_time,
-            data_time: outcome.data_time,
-            ml_time: outcome.ml_time,
-            total_time,
-            output_rows: outcome.batch.num_rows(),
-            ml_time_modeled: outcome.ml_time_modeled,
-            pruned_partitions: outcome.pruned_partitions,
-            streamed_partitions: outcome.streamed_partitions,
-            intermediate_materializations,
-            join_build_rows: outcome.join_build_rows,
-            join_probe_batches: outcome.join_probe_batches,
+            data_time,
+            ml_time,
+            total_time: if ml_time_modeled {
+                data_time + ml_time
+            } else {
+                wall_time
+            },
+            output_rows: batch.num_rows(),
+            ml_time_modeled,
+            pruned_partitions: metrics.partitions_pruned(),
+            streamed_partitions: metrics.partitions_scanned(),
+            intermediate_materializations: metrics.intermediate_materializations()
+                + chain.copies.load(Ordering::Relaxed),
+            join_build_rows: metrics.join_build_rows(),
+            join_probe_batches: metrics.join_probe_batches(),
         };
-        Ok(PredictionOutput {
-            batch: outcome.batch,
-            report,
-        })
+        Ok(PredictionOutput { batch, report })
     }
 
     // ---------------------------------------------------------------------
@@ -841,33 +980,37 @@ impl RavenSession {
     }
 
     // ---------------------------------------------------------------------
-    // execution paths
+    // lowering
     // ---------------------------------------------------------------------
 
-    /// Lower the optimized plan to its physical artifact for the chosen
-    /// transform, resolving applicability (a transform whose rule does not
-    /// apply falls back to the ML-runtime artifact) once at prepare time.
-    fn lower(
+    /// The scorer of the chosen transform. A transform whose rule does not
+    /// apply falls back to the ML runtime, resolved once at prepare time;
+    /// the returned flag says whether it did.
+    fn lower_scorer(
         &self,
         plan: &UnifiedPlan,
         transform: TransformChoice,
+        data_induced: &mut DataInducedReport,
         hooks: &mut Option<&mut ModelCacheHooks<'_>>,
-    ) -> Result<(PreparedArtifact, bool)> {
+    ) -> Result<(Scorer, bool)> {
         let attempt = match transform {
-            TransformChoice::MlToSql => self.lower_ml_to_sql(plan).map(Some),
-            TransformChoice::MlToDnn => self.lower_ml_to_dnn(plan).map(Some),
+            TransformChoice::MlToSql => {
+                pipeline_to_sql(&plan.pipeline).map(|e| Some(Scorer::Expr(Arc::new(e))))
+            }
+            TransformChoice::MlToDnn => apply_ml_to_dnn(
+                &plan.pipeline,
+                self.config.dnn_strategy,
+                self.config.device.clone(),
+            )
+            .map(|dnn| Some(Scorer::Tensor(Arc::new(dnn)))),
             TransformChoice::None => Ok(None),
         };
         match attempt {
-            Ok(Some(artifact)) => Ok((artifact, false)),
-            Ok(None) => Ok((
-                PreparedArtifact::MlRuntime(self.lower_ml_runtime(plan, hooks)?),
-                false,
-            )),
-            Err(RavenError::RuleNotApplicable(_)) => Ok((
-                PreparedArtifact::MlRuntime(self.lower_ml_runtime(plan, hooks)?),
-                true,
-            )),
+            Ok(Some(scorer)) => Ok((scorer, false)),
+            Ok(None) => Ok((self.compiled_scorer(plan, data_induced, hooks)?, false)),
+            Err(RavenError::RuleNotApplicable(_)) => {
+                Ok((self.compiled_scorer(plan, data_induced, hooks)?, true))
+            }
             Err(e) => Err(e),
         }
     }
@@ -921,73 +1064,23 @@ impl RavenSession {
         }
     }
 
-    /// Run an already-optimized relational plan, returning the result plus a
-    /// snapshot of the executor's counters (partitions pruned via statistics
-    /// / scanned, intermediate materializations, join build/probe work).
-    fn run_optimized(&self, plan: &LogicalPlan) -> Result<(Batch, EngineCounters)> {
-        let exec = Executor::new();
-        let batch = exec.execute(plan, &self.catalog, &self.execution_context())?;
-        Ok((batch, EngineCounters::from_metrics(&exec.metrics())))
-    }
-
-    /// MLtoSQL lowering: the entire query (featurization, model, predicates,
-    /// projection, aggregate) becomes one relational plan, optimized once.
-    fn lower_ml_to_sql(&self, plan: &UnifiedPlan) -> Result<PreparedArtifact> {
-        let score_expr = pipeline_to_sql(&plan.pipeline)?;
-        let mut data = plan.data.clone();
-        let input_preds: Vec<Expr> = plan.input_predicates().into_iter().cloned().collect();
-        if !input_preds.is_empty() {
-            data = data.filter(Expr::conjunction(input_preds));
-        }
-        // project the prediction plus every column the rest of the query needs
-        let mut exprs: Vec<Expr> = plan
-            .externally_required_columns()
-            .into_iter()
-            .map(|c| col(&c))
-            .collect();
-        exprs.push(score_expr.alias(&plan.prediction_column));
-        data = data.project(exprs);
-        let output_preds: Vec<Expr> = plan.output_predicates().into_iter().cloned().collect();
-        if !output_preds.is_empty() {
-            data = data.filter(Expr::conjunction(output_preds));
-        }
-        if !plan.projection.is_empty() {
-            data = data.project(plan.projection.clone());
-        }
-        if let Some((group_by, aggs)) = &plan.aggregate {
-            data = data.aggregate(group_by.clone(), aggs.clone());
-        }
-        let optimized = self.relational_optimizer().optimize(&data, &self.catalog)?;
-        Ok(PreparedArtifact::Sql {
-            relational: Arc::new(optimized),
-        })
-    }
-
-    /// MLtoSQL execution: run the pre-optimized relational plan on the
-    /// streaming partition-parallel engine.
-    fn run_ml_to_sql(&self, relational: &LogicalPlan) -> Result<PathOutcome> {
-        let start = Instant::now();
-        let (batch, counters) = self.run_optimized(relational)?;
-        let mut outcome = PathOutcome::new(batch);
-        outcome.data_time = start.elapsed();
-        outcome.apply_counters(counters);
-        Ok(outcome)
-    }
-
-    /// ML-runtime lowering: compile per-partition models once (data-induced
-    /// §4.2, bare scans only) and pre-optimize the relational data side.
-    /// When serving-tier hooks are present, compiled models are looked up and
-    /// stored under a key derived from the scanned tables, the
-    /// catalog/registry epochs, and a structural hash of the optimized
-    /// pipeline — identical key ⇒ identical compilation input.
-    fn lower_ml_runtime(
+    /// The ML-runtime scorer, every scoring pipeline compiled once, at
+    /// prepare time — flattened tree arenas plus the fused featurizer plan.
+    /// With partition models on and the query scanning one partitioned
+    /// table directly, it holds one pipeline per table partition,
+    /// specialized to that partition's statistics (data-induced §4.2); the
+    /// scan keeps table partition indices under pruning, so the drive can
+    /// pick each element's model by its source partition. When serving-tier
+    /// hooks are present, those models are looked up and stored under a key
+    /// derived from the scanned tables, the catalog/registry epochs, and a
+    /// structural hash of the optimized pipeline — identical key ⇒ identical
+    /// compilation input.
+    fn compiled_scorer(
         &self,
         plan: &UnifiedPlan,
+        data_induced: &mut DataInducedReport,
         hooks: &mut Option<&mut ModelCacheHooks<'_>>,
-    ) -> Result<MlRuntimePlan> {
-        // Compile every scoring pipeline once, at prepare time — flattened
-        // tree arenas plus the fused featurizer plan: executions replay only
-        // the compiled block-at-a-time kernels.
+    ) -> Result<Scorer> {
         let compile_all = |models: &[Pipeline]| -> Result<Arc<Vec<CompiledPipeline>>> {
             models
                 .iter()
@@ -995,16 +1088,16 @@ impl RavenSession {
                 .collect::<Result<Vec<_>>>()
                 .map(Arc::new)
         };
-        let partition_models = if self.config.enable_partition_models {
+        if self.config.enable_partition_models && matches!(plan.data, LogicalPlan::Scan { .. }) {
             let key = hooks.as_ref().map(|_| self.model_cache_key(plan));
             let cached = match (hooks.as_mut(), key.as_deref()) {
                 (Some(h), Some(k)) => (h.lookup)(k),
                 _ => None,
             };
-            match cached {
+            let compiled = match cached {
                 // a hit reuses the fully compiled artifacts — pruned
                 // pipelines, flat ensembles, and fused featurizer plans
-                Some(c) if c.pipelines.len() > 1 => Some((c.pipelines, c.report)),
+                Some(c) if c.pipelines.len() > 1 => Some(c),
                 _ => {
                     let (models, report) = compile_partition_models(plan, &self.catalog)?;
                     if models.len() > 1 {
@@ -1015,48 +1108,22 @@ impl RavenSession {
                         if let (Some(h), Some(k)) = (hooks.as_mut(), key.as_deref()) {
                             (h.store)(k, &compiled);
                         }
-                        Some((compiled.pipelines, compiled.report))
+                        Some(compiled)
                     } else {
                         None
                     }
                 }
-            }
-        } else {
-            None
-        };
-        match partition_models {
-            Some((models, report)) if matches!(plan.data, LogicalPlan::Scan { .. }) => {
-                // per-partition compiled models: the table is streamed
-                // directly at execution time so partition indices stay
-                // aligned with the model vector even under pruning
-                let table_name = match &plan.data {
-                    LogicalPlan::Scan { table, .. } => table.clone(),
-                    _ => unreachable!(),
-                };
-                let schema = self.catalog.table(&table_name)?.schema().clone();
-                Ok(MlRuntimePlan {
-                    data: None,
-                    scan_table: Some(table_name),
-                    models,
-                    partition_report: Some(report),
-                    schema,
-                })
-            }
-            _ => {
-                let data_plan = self.data_side_plan(plan);
-                let optimized = self
-                    .relational_optimizer()
-                    .optimize(&data_plan, &self.catalog)?;
-                let schema = Arc::new(optimized.schema(&self.catalog)?);
-                Ok(MlRuntimePlan {
-                    data: Some(Arc::new(optimized)),
-                    scan_table: None,
-                    models: compile_all(std::slice::from_ref(&plan.pipeline))?,
-                    partition_report: None,
-                    schema,
-                })
+            };
+            if let Some(c) = compiled {
+                data_induced.partition_models = c.report.partition_models;
+                data_induced.avg_pruned_columns_per_partition =
+                    c.report.avg_pruned_columns_per_partition;
+                return Ok(Scorer::Compiled(c.pipelines));
             }
         }
+        Ok(Scorer::Compiled(compile_all(std::slice::from_ref(
+            &plan.pipeline,
+        ))?))
     }
 
     /// The compiled-model cache key for a plan's partition models. Includes
@@ -1073,276 +1140,6 @@ impl RavenSession {
             self.registry.epoch()
         )
     }
-
-    /// ML-runtime path (and the SparkML / MADlib-style baselines): the
-    /// relational plan compiles to a [`BatchStream`], each partition flows
-    /// through scan filters, statistics pruning (when data-induced
-    /// optimizations are on), ML scoring, output predicates, and the final
-    /// projection as one fused per-partition task on the process-wide
-    /// work-stealing pool (bounded by this query's `degree_of_parallelism`),
-    /// and partitions are concatenated exactly once at the output boundary
-    /// (aggregates being the one remaining pipeline breaker).
-    fn run_ml_runtime(&self, plan: &UnifiedPlan, lowered: &MlRuntimePlan) -> Result<PathOutcome> {
-        let runtime = MlRuntime::with_config(self.config.ml_runtime.clone());
-        let ctx = self.execution_context();
-        let dop = ctx.degree_of_parallelism;
-        let wall = Instant::now();
-
-        // 1. the relational side as a partition stream
-        let exec = Executor::new();
-        let partition_report = lowered.partition_report.clone();
-        let manual_pruned = Arc::new(AtomicUsize::new(0));
-        let manual_copies = Arc::new(AtomicUsize::new(0));
-        let models = lowered.models.clone();
-        let source_schema = lowered.schema.clone();
-        let selection_vectors = ctx.selection_vectors;
-        let partition_pruning = ctx.partition_pruning;
-        let stream = match (&lowered.data, &lowered.scan_table) {
-            (None, Some(table_name)) => {
-                // per-partition compiled models: stream the table directly so
-                // partition indices stay aligned with the model vector even
-                // when statistics prune some partitions
-                let table = self.catalog.table(table_name)?;
-                let preds: Vec<Expr> = plan.input_predicates().into_iter().cloned().collect();
-                let pruned = manual_pruned.clone();
-                let copies = manual_copies.clone();
-                BatchStream::from_table(&table).map(move |mut item| {
-                    let prunable = partition_pruning
-                        && item
-                            .stats
-                            .as_ref()
-                            .is_some_and(|s| !may_satisfy_all(&preds, s));
-                    if prunable {
-                        pruned.fetch_add(1, Ordering::Relaxed);
-                        return Ok(None);
-                    }
-                    for p in &preds {
-                        let mask = evaluate_predicate(p, &item.batch).map_err(stream_err)?;
-                        if item.apply_mask(&mask, selection_vectors)? {
-                            copies.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                    Ok(Some(item))
-                })
-            }
-            (Some(data), _) => exec.execute_stream(data, &self.catalog, &ctx)?,
-            (None, None) => {
-                return Err(RavenError::Ml(
-                    "lowered ML-runtime plan has neither a data plan nor a scan table".into(),
-                ))
-            }
-        };
-
-        // 2. per-partition scoring and post-processing, fused into the
-        //    stream. Scoring consumes (batch, selection): selected rows are
-        //    gathered straight from the source columns into the runtime's
-        //    inputs (zero-copy filter→score) and the scores scatter back as
-        //    one full-length column, so the selection keeps flowing. The §7
-        //    baselines instead compact the partition and score it whole, as
-        //    the systems they stand in for do.
-        let ml_nanos = Arc::new(AtomicU64::new(0));
-        let score_op: raven_columnar::StreamOp = {
-            let prediction = plan.prediction_column.clone();
-            let ml_nanos = ml_nanos.clone();
-            let baseline = self.config.baseline;
-            Arc::new(move |mut item: StreamBatch| {
-                let t0 = Instant::now();
-                let compiled = if models.len() > 1 {
-                    models.get(item.partition).unwrap_or(&models[0])
-                } else {
-                    &models[0]
-                };
-                let scored = if baseline == BaselineMode::Vectorized {
-                    runtime
-                        .score_batch_into_selected(
-                            compiled,
-                            &item.batch,
-                            item.selection.as_ref(),
-                            &prediction,
-                        )
-                        .map_err(stream_err)?
-                } else {
-                    item = item.compact()?;
-                    let scores = score_batch(baseline, &runtime, compiled.pipeline(), &item.batch)
-                        .map_err(stream_err)?;
-                    attach_scores(&item.batch, &prediction, scores).map_err(stream_err)?
-                };
-                item.batch = scored;
-                ml_nanos.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                Ok(Some(item))
-            })
-        };
-        let post_op = post_scoring_op(plan, selection_vectors, manual_copies.clone());
-
-        // 3. drive the pipeline partition-parallel; the single gather of
-        //    surviving rows happens at the final output boundary, fused into
-        //    the concat
-        let scored = stream
-            .map({
-                let op = score_op.clone();
-                move |item| op(item)
-            })
-            .map({
-                let op = post_op.clone();
-                move |item| op(item)
-            });
-        let items = scored.collect(dop)?;
-        let streamed_partitions = items.len();
-        let mut batch = if items.is_empty() {
-            // every partition pruned/filtered away: push one empty batch of
-            // the source schema through the same operator chain so the output
-            // schema (score column, projection) is still correct
-            let empty = StreamBatch::new(Batch::empty(source_schema)?, 0);
-            let item = score_op(empty)?.and_then(|item| post_op(item).transpose());
-            match item {
-                Some(item) => item?.compact()?.batch,
-                None => {
-                    return Err(RavenError::Ml(
-                        "streaming pipeline dropped the boundary batch".into(),
-                    ))
-                }
-            }
-        } else {
-            let parts: Vec<(&Batch, Option<&raven_columnar::SelectionVector>)> = items
-                .iter()
-                .map(|i| (&i.batch, i.selection.as_ref()))
-                .collect();
-            Batch::concat_selected(&parts)?
-        };
-
-        // 4. the final aggregate is a pipeline breaker over the concatenated
-        //    result
-        batch = self.apply_aggregate(plan, batch)?;
-
-        // Per-partition scoring durations accumulate across concurrent
-        // workers, so at dop > 1 the sum is CPU time, not wall time. Cap at
-        // the wall clock so `data_time + ml_time` always partitions the
-        // measured total: exact at dop 1, a scoring-share attribution above.
-        let wall_time = wall.elapsed();
-        let ml_time = Duration::from_nanos(ml_nanos.load(Ordering::Relaxed)).min(wall_time);
-        let mut outcome = PathOutcome::new(batch);
-        outcome.data_time = wall_time.saturating_sub(ml_time);
-        outcome.ml_time = ml_time;
-        outcome.partition_report = partition_report;
-        outcome.pruned_partitions =
-            exec.metrics().partitions_pruned() + manual_pruned.load(Ordering::Relaxed);
-        outcome.streamed_partitions = streamed_partitions;
-        outcome.intermediate_materializations =
-            exec.metrics().intermediate_materializations() + manual_copies.load(Ordering::Relaxed);
-        outcome.join_build_rows = exec.metrics().join_build_rows();
-        outcome.join_probe_batches = exec.metrics().join_probe_batches();
-        Ok(outcome)
-    }
-
-    /// MLtoDNN lowering: compile the model node to a tensor model bound to
-    /// the configured device, and pre-optimize the data-side plan.
-    fn lower_ml_to_dnn(&self, plan: &UnifiedPlan) -> Result<PreparedArtifact> {
-        let dnn = apply_ml_to_dnn(
-            &plan.pipeline,
-            self.config.dnn_strategy,
-            self.config.device.clone(),
-        )?;
-        let data_plan = self.data_side_plan(plan);
-        let optimized = self
-            .relational_optimizer()
-            .optimize(&data_plan, &self.catalog)?;
-        Ok(PreparedArtifact::Dnn {
-            dnn: Arc::new(dnn),
-            data: Arc::new(optimized),
-        })
-    }
-
-    /// MLtoDNN execution: data engine → featurizers on the ML runtime →
-    /// compiled tensor model on the configured device → the post-scoring
-    /// chain. The tensor model consumes one dense feature matrix, so the data
-    /// side materializes at the featurization boundary (the relational plan
-    /// itself still streams).
-    fn run_ml_to_dnn(
-        &self,
-        plan: &UnifiedPlan,
-        dnn: &crate::mltodnn::DnnPlan,
-        data: &LogicalPlan,
-    ) -> Result<PathOutcome> {
-        let runtime = MlRuntime::with_config(self.config.ml_runtime.clone());
-
-        let d0 = Instant::now();
-        let (batch, counters) = self.run_optimized(data)?;
-        let mut data_time = d0.elapsed();
-
-        let m0 = Instant::now();
-        let inputs = bind_batch(&dnn.featurizer, &batch)?;
-        let features = runtime.run(&dnn.featurizer, &inputs)?;
-        let features = features
-            .as_numeric()
-            .map_err(|e| RavenError::Ml(e.to_string()))?;
-        let featurize_time = m0.elapsed();
-        let run = dnn.model.run(features)?;
-        let modeled = dnn.model.device.is_simulated();
-        let ml_time = featurize_time + run.reported;
-
-        let d1 = Instant::now();
-        let scored = attach_scores(&batch, &plan.prediction_column, run.scores)?;
-        let copies = Arc::new(AtomicUsize::new(0));
-        let post_op = post_scoring_op(plan, selection_vectors_default(), copies.clone());
-        let item = post_op(StreamBatch::new(scored, 0))?
-            .ok_or_else(|| RavenError::Ml("post-scoring chain dropped the batch".into()))?;
-        let batch = self.apply_aggregate(plan, item.compact()?.batch)?;
-        data_time += d1.elapsed();
-        let mut outcome = PathOutcome::new(batch);
-        outcome.data_time = data_time;
-        outcome.ml_time = ml_time;
-        outcome.ml_time_modeled = modeled;
-        outcome.apply_counters(counters);
-        outcome.intermediate_materializations += copies.load(Ordering::Relaxed);
-        Ok(outcome)
-    }
-
-    /// Apply the plan's final aggregate (if any) by registering the scored
-    /// batch with the relational executor — the one pipeline breaker after
-    /// scoring, shared by the ML-runtime and MLtoDNN paths.
-    fn apply_aggregate(&self, plan: &UnifiedPlan, batch: Batch) -> Result<Batch> {
-        let Some((group_by, aggs)) = &plan.aggregate else {
-            return Ok(batch);
-        };
-        let mut catalog = Catalog::new();
-        catalog.register(Table::from_batch("__scored", batch)?);
-        let agg_plan = LogicalPlan::scan("__scored").aggregate(group_by.clone(), aggs.clone());
-        let exec = Executor::new();
-        Ok(exec.execute(&agg_plan, &catalog, &ExecutionContext::default())?)
-    }
-}
-
-/// The post-scoring chain over one scored partition: the output predicates,
-/// then the final projection. A filter refines the selection, or copies the
-/// surviving rows when `selection_vectors` is off, each copy counted in
-/// `copies`. The projection replaces the columns row-aligned with the source,
-/// so the selection survives it untouched.
-fn post_scoring_op(
-    plan: &UnifiedPlan,
-    selection_vectors: bool,
-    copies: Arc<AtomicUsize>,
-) -> raven_columnar::StreamOp {
-    let output_preds: Vec<Expr> = plan.output_predicates().into_iter().cloned().collect();
-    let projection = plan.projection.clone();
-    Arc::new(move |mut item: StreamBatch| {
-        for p in &output_preds {
-            let mask = evaluate_predicate(p, &item.batch).map_err(stream_err)?;
-            if item.apply_mask(&mask, selection_vectors)? {
-                copies.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        if !projection.is_empty() {
-            let mut columns = Vec::with_capacity(projection.len());
-            let mut fields = Vec::with_capacity(projection.len());
-            for e in &projection {
-                let c = evaluate(e, &item.batch).map_err(stream_err)?;
-                fields.push(Field::new(e.output_name(), c.data_type()));
-                columns.push(c);
-            }
-            item.batch = Batch::new(Arc::new(raven_columnar::Schema::new(fields)?), columns)?;
-        }
-        Ok(Some(item))
-    })
 }
 
 /// Score a compacted batch the way a non-vectorized §7 baseline does:
@@ -1710,15 +1507,58 @@ mod tests {
         assert!(out.report.data_time + out.report.ml_time <= out.report.total_time * 2);
     }
 
+    /// The three scorers, forced: the ML runtime, MLtoSQL and MLtoDNN.
+    fn every_scorer() -> [RuntimePolicy; 3] {
+        [
+            RuntimePolicy::NoTransform,
+            RuntimePolicy::Force(TransformChoice::MlToSql),
+            RuntimePolicy::Force(TransformChoice::MlToDnn),
+        ]
+    }
+
     #[test]
     fn streaming_empty_result_keeps_output_schema() {
         let (mut session, _) = session(ModelType::DecisionTree { max_depth: 4 });
-        session.config_mut().runtime_policy = RuntimePolicy::NoTransform;
         let query = "SELECT d.id, p.risk FROM PREDICT(MODEL = risk_model, DATA = patients AS d) \
                      WITH (risk float) AS p WHERE d.age > 1000 AND p.risk >= 0.0";
-        let out = session.sql(query).unwrap();
-        assert_eq!(out.batch.num_rows(), 0);
-        assert_eq!(out.batch.schema().names(), vec!["id", "risk"]);
+        for policy in every_scorer() {
+            session.config_mut().runtime_policy = policy.clone();
+            let out = session.sql(query).unwrap();
+            assert!(!out.report.transform_fallback, "{policy:?}");
+            assert_eq!(out.batch.num_rows(), 0, "{policy:?}");
+            assert_eq!(out.batch.schema().names(), vec!["id", "risk"], "{policy:?}");
+            let risk = out.batch.schema().field_by_name("risk").unwrap();
+            assert_eq!(risk.data_type(), DataType::Float64, "{policy:?}");
+        }
+    }
+
+    /// A partition index with no compiled model is an execution error, not
+    /// a silent fallback to another partition's model (which was pruned
+    /// with that partition's statistics).
+    #[test]
+    fn compiled_scorer_rejects_partition_without_model() {
+        let (session, _) = session(ModelType::DecisionTree { max_depth: 4 });
+        let model =
+            CompiledPipeline::compile(&session.registry().get("risk_model").unwrap()).unwrap();
+        let scorer = Scorer::Compiled(Arc::new(vec![model.clone(), model]));
+        let batch = session
+            .catalog()
+            .table("patients")
+            .unwrap()
+            .to_batch()
+            .unwrap();
+        let score = |partition| {
+            scorer.score(
+                StreamBatch::new(batch.clone(), partition),
+                "risk",
+                &MlRuntime::new(),
+                BaselineMode::Vectorized,
+                &ScoreClock::default(),
+            )
+        };
+        assert!(score(1).unwrap().batch.column_by_name("risk").is_ok());
+        let err = score(2).unwrap_err();
+        assert!(err.to_string().contains("partition 2"), "{err}");
     }
 
     #[test]
@@ -1820,7 +1660,11 @@ mod tests {
         // optimized: the unused dim_val input is pruned, so the dimension
         // join disappears and no hash table is ever built
         let prepared = session.prepare_plan(&plan).unwrap();
-        let explain = session.explain_prepared(&prepared).unwrap();
+        let explain = session.explain_prepared(&prepared);
+        assert!(
+            explain.starts_with("Scorer: Compiled (ML runtime), partition models: 0\n"),
+            "{explain}"
+        );
         assert!(!explain.contains("Join:"), "join survived:\n{explain}");
         assert!(explain.contains("rows≈"), "{explain}");
         let out = session.execute_prepared(&prepared).unwrap();
@@ -1837,7 +1681,7 @@ mod tests {
         // 8-row dimension table
         session.config_mut().enable_projection_pushdown = false;
         let prepared = session.prepare_plan(&plan).unwrap();
-        let explain = session.explain_prepared(&prepared).unwrap();
+        let explain = session.explain_prepared(&prepared);
         assert!(explain.contains("Join:"), "{explain}");
         let control = session.execute_prepared(&prepared).unwrap();
         assert_eq!(control.report.join_build_rows, 8);
@@ -1848,7 +1692,7 @@ mod tests {
 
     #[test]
     fn aggregate_queries_work() {
-        let (session, _) = session(ModelType::DecisionTree { max_depth: 4 });
+        let (mut session, _) = session(ModelType::DecisionTree { max_depth: 4 });
         let plan = parse_prediction_query(
             "SELECT d.id, p.risk FROM PREDICT(MODEL = risk_model, DATA = patients AS d) \
              WITH (risk float) AS p",
@@ -1866,14 +1710,18 @@ mod tests {
                 alias: "avg_risk".into(),
             }],
         ));
-        let out = session.execute(&plan).unwrap();
-        assert_eq!(out.batch.num_rows(), 1);
-        let avg = out
-            .batch
-            .column_by_name("avg_risk")
-            .unwrap()
-            .as_f64()
-            .unwrap()[0];
-        assert!((0.0..=1.0).contains(&avg));
+        for policy in every_scorer() {
+            session.config_mut().runtime_policy = policy.clone();
+            let out = session.execute(&plan).unwrap();
+            assert!(!out.report.transform_fallback, "{policy:?}");
+            assert_eq!(out.batch.num_rows(), 1, "{policy:?}");
+            let avg = out
+                .batch
+                .column_by_name("avg_risk")
+                .unwrap()
+                .as_f64()
+                .unwrap()[0];
+            assert!((0.0..=1.0).contains(&avg), "{policy:?}: {avg}");
+        }
     }
 }

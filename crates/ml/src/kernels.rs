@@ -24,15 +24,15 @@
 //!   writing finished feature-major lanes straight into the scratch the
 //!   model kernels consume — no intermediate `Matrix` exists at any point;
 //! * the model runs in the same pass: tree ensembles via
-//!   [`FlatEnsemble::score_lanes_block`] (the PR 4 perfect-tree walker, now
-//!   with the AVX2 tier), linear models via a dense **lane-major
-//!   dot-product kernel** that folds weights in the same per-row order as
-//!   the interpreted `dot_rows`, so results stay bit-identical.
+//!   `FlatEnsemble::score_lanes_block` (the perfect-tree walker), linear
+//!   models via a dense **lane-major dot-product kernel** that folds
+//!   weights in the same per-row order as the interpreted `dot_rows`, so
+//!   results stay bit-identical.
 //!
 //! Pipelines the resolver cannot express (row-wise normalizers, models fed
 //! by other models, categorical values consumed as numerics, …) simply
-//! don't fuse: [`FusedPipeline::compile`] returns `None` and the runtime
-//! falls back to the PR 4 per-operator path with flat tree kernels — which
+//! don't fuse: `FusedPipeline::compile` returns `None` and the runtime
+//! falls back to the per-operator path with flat tree kernels — which
 //! also remains the A/B baseline via [`force_fusion`]. The
 //! `RAVEN_SCORER=interpreted` oracle disables both tiers.
 
@@ -374,7 +374,7 @@ impl FusedPipeline {
     /// at most `n_lanes` features — and pass their own arena checks — and
     /// linear weights match the lane width exactly).
     ///
-    /// [`compile`](FusedPipeline::compile) establishes all of this by
+    /// `FusedPipeline::compile` establishes all of this by
     /// construction; `verify` re-checks it in debug builds and under
     /// `RAVEN_VERIFY=strict` so a miscompiled pipeline fails at prepare time
     /// instead of reading a stranger's lane at serve time.

@@ -85,7 +85,7 @@ impl Tree {
     /// Maximum depth (a single leaf has depth 0). Iterative — tree walkers
     /// must not recurse one frame per level, since degenerate chain-shaped
     /// trees (depth ≈ node count) are valid models. Guarded like
-    /// [`Tree::reachable`] so cyclic/dangling graphs (rejected with a typed
+    /// `Tree::reachable` so cyclic/dangling graphs (rejected with a typed
     /// error at validation) terminate here too instead of looping or
     /// panicking.
     pub fn depth(&self) -> usize {

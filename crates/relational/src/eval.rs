@@ -95,7 +95,7 @@ impl Operand {
                 Value::Null => Operand::Num(f64::NAN),
             }),
             Expr::Alias { expr, .. } => Operand::eval(expr, batch, sel),
-            other => Ok(Operand::Col(eval_sel(other, batch, sel)?)),
+            other => Ok(Operand::Col(evaluate_selected(other, batch, sel)?)),
         }
     }
 
@@ -248,12 +248,14 @@ fn apply_cmp(op: BinaryOp, x: f64, y: f64) -> bool {
 
 /// Evaluate `expr` against `batch`, producing one value per row.
 pub fn evaluate(expr: &Expr, batch: &Batch) -> Result<ColumnRef> {
-    eval_sel(expr, batch, &SelectionVector::all(batch.num_rows()))
+    evaluate_selected(expr, batch, &SelectionVector::all(batch.num_rows()))
 }
 
 /// Evaluate `expr` on the rows of `batch` that `sel` selects, producing one
-/// value per selected row, in selection order.
-fn eval_sel(expr: &Expr, batch: &Batch, sel: &SelectionVector) -> Result<ColumnRef> {
+/// value per selected row, in selection order. Deselected rows cost nothing:
+/// a consumer holding a `(batch, selection)` pair scatters the result back
+/// itself instead of evaluating every source row.
+pub fn evaluate_selected(expr: &Expr, batch: &Batch, sel: &SelectionVector) -> Result<ColumnRef> {
     match expr {
         Expr::Column(name) => {
             let c = batch.column_by_name(name)?;
@@ -264,16 +266,16 @@ fn eval_sel(expr: &Expr, batch: &Batch, sel: &SelectionVector) -> Result<ColumnR
             }
         }
         Expr::Literal(v) => Ok(Arc::new(Column::from_value(v, sel.len())?)),
-        Expr::Alias { expr, .. } => eval_sel(expr, batch, sel),
+        Expr::Alias { expr, .. } => evaluate_selected(expr, batch, sel),
         Expr::Not(_) | Expr::IsNull(_) => {
             Ok(Arc::new(Column::Boolean(predicate_sel(expr, batch, sel)?)))
         }
         Expr::Cast { expr, to } => {
-            let v = eval_sel(expr, batch, sel)?;
+            let v = evaluate_selected(expr, batch, sel)?;
             cast_column(&v, *to)
         }
         Expr::ScalarFunction { func, arg } => {
-            let v = eval_sel(arg, batch, sel)?;
+            let v = evaluate_selected(arg, batch, sel)?;
             let f = |x: f64| match func {
                 ScalarFunc::Exp => x.exp(),
                 ScalarFunc::Ln => {
@@ -402,7 +404,7 @@ fn split((sel, positions): &Rows, mask: &[bool]) -> Result<(Rows, Rows)> {
 fn eval_arm(expr: &Expr, batch: &Batch, (sel, positions): Rows) -> Result<Arm> {
     let (values, scalar) = match expr {
         Expr::Literal(v) => (Arc::new(Column::from_value(v, 1)?), true),
-        other => (eval_sel(other, batch, &sel)?, false),
+        other => (evaluate_selected(other, batch, &sel)?, false),
     };
     Ok(Arm {
         values,
@@ -562,7 +564,7 @@ fn predicate_sel(expr: &Expr, batch: &Batch, sel: &SelectionVector) -> Result<Ve
         // Statistics (`ColumnStatistics::null_count`) count missing values
         // with exactly the same rule, keeping pruning and evaluation aligned.
         Expr::IsNull(e) => {
-            let v = eval_sel(e, batch, sel)?;
+            let v = evaluate_selected(e, batch, sel)?;
             let mut mask = rent_mask(v.len());
             match v.as_ref() {
                 Column::Float64(vals) => mask.extend(vals.iter().map(|x| x.is_nan())),
@@ -623,7 +625,7 @@ fn predicate_sel(expr: &Expr, batch: &Batch, sel: &SelectionVector) -> Result<Ve
         }
         Expr::Literal(Value::Boolean(b)) => Ok(vec![*b; sel.len()]),
         other => {
-            let col = eval_sel(other, batch, sel)?;
+            let col = evaluate_selected(other, batch, sel)?;
             mask_from_column(col)
         }
     }
@@ -869,15 +871,29 @@ mod tests {
     /// evaluator agrees bit for bit.
     fn eval_checked(e: &Expr, b: &Batch) -> ColumnRef {
         let got = evaluate(e, b).unwrap();
-        let want = reference::evaluate(e, b).unwrap();
-        match (got.as_ref(), want.as_ref()) {
+        assert_bitwise(&got, &reference::evaluate(e, b).unwrap(), e);
+        got
+    }
+
+    fn assert_bitwise(got: &Column, want: &Column, e: &Expr) {
+        match (got, want) {
             (Column::Float64(x), Column::Float64(y)) => {
                 let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(x), bits(y), "{e}");
             }
             (x, y) => assert_eq!(x, y, "{e}"),
         }
-        got
+    }
+
+    /// [`eval_checked`], plus: under a random selection of `b`'s rows,
+    /// [`evaluate_selected`] is bitwise [`evaluate`] followed by a gather.
+    fn eval_checked_selected(e: &Expr, b: &Batch, rng: &mut TestRng) {
+        let full = eval_checked(e, b);
+        let keep = rng.next_f64();
+        let mask: Vec<bool> = (0..b.num_rows()).map(|_| rng.next_f64() < keep).collect();
+        let sel = SelectionVector::from_mask(&mask);
+        let got = evaluate_selected(e, b, &sel).unwrap();
+        assert_bitwise(&got, &full.gather(&sel).unwrap(), e);
     }
 
     fn batch() -> Batch {
@@ -1136,7 +1152,8 @@ mod tests {
 
         /// The selection-vector CASE is bitwise-equal to the reference on
         /// generated nested CASEs of depth 1-10 over NaN-bearing data, alone
-        /// and summed the way MLtoSQL combines ensemble trees.
+        /// and summed the way MLtoSQL combines ensemble trees; evaluated
+        /// under a random selection, it is the full result gathered.
         #[test]
         fn selection_vector_case_matches_reference(seed in 0u64..1_000_000, rows in 1usize..120) {
             let mut rng = TestRng::deterministic(&format!("case-{seed}"));
@@ -1144,7 +1161,7 @@ mod tests {
             for depth in 1..=10 {
                 for kind in [ArmKind::Float, ArmKind::Int, ArmKind::Utf8, ArmKind::Bool] {
                     let e = nested_case(&mut rng, kind, depth);
-                    eval_checked(&e, &b);
+                    eval_checked_selected(&e, &b, &mut rng);
                     if let ArmKind::Bool = kind {
                         let mask = evaluate_predicate(&e, &b).unwrap();
                         prop_assert_eq!(&mask, evaluate(&e, &b).unwrap().as_bool().unwrap());
@@ -1153,7 +1170,7 @@ mod tests {
                 let sum = nested_case(&mut rng, ArmKind::Float, depth)
                     .add(nested_case(&mut rng, ArmKind::Float, depth))
                     .mul(lit(0.1));
-                eval_checked(&sum, &b);
+                eval_checked_selected(&sum, &b, &mut rng);
             }
         }
     }

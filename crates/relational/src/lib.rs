@@ -35,12 +35,14 @@ pub mod verify;
 pub use catalog::Catalog;
 pub use cost::{cost_based_joins_default, explain_with_estimates, CostModel};
 pub use error::{RelationalError, Result};
-pub use eval::{evaluate, evaluate_predicate, expr_data_type};
+pub use eval::{evaluate, evaluate_predicate, evaluate_selected, expr_data_type};
 pub use expr::{binary, case, col, lit, AggregateFunction, BinaryOp, Expr, ScalarFunc};
 pub use join_reorder::reorder_joins;
 pub use logical::{AggregateExpr, LogicalPlan};
 pub use optimizer::{fold_expr, Optimizer, OptimizerOptions};
-pub use physical::{selection_vectors_default, ExecutionContext, ExecutionMetrics, Executor};
+pub use physical::{
+    aggregate_items, selection_vectors_default, ExecutionContext, ExecutionMetrics, Executor,
+};
 pub use prune::{may_satisfy, may_satisfy_all};
 pub use verify::{
     baseline, check_plan, check_rewrite, conjunct_count, force_verify, verify_enabled, Baseline,

@@ -196,21 +196,7 @@ impl LogicalPlan {
                 group_by,
                 aggregates,
                 input,
-            } => {
-                let in_schema = input.schema(catalog)?;
-                let mut fields = Vec::new();
-                for g in group_by {
-                    fields.push(in_schema.field_by_name(g)?.clone());
-                }
-                for a in aggregates {
-                    let dt = match a.func {
-                        AggregateFunction::Count => DataType::Int64,
-                        _ => DataType::Float64,
-                    };
-                    fields.push(Field::new(a.alias.clone(), dt));
-                }
-                Ok(Schema::new(fields)?)
-            }
+            } => aggregate_schema(&input.schema(catalog)?, group_by, aggregates),
         }
     }
 
@@ -293,6 +279,28 @@ impl LogicalPlan {
         fmt_node(self, 0, &mut out);
         out
     }
+}
+
+/// The output schema of grouping `in_schema` by `group_by` and computing
+/// `aggregates`: the group columns, then one column per aggregate (`Int64`
+/// for `COUNT`, `Float64` otherwise).
+pub(crate) fn aggregate_schema(
+    in_schema: &Schema,
+    group_by: &[String],
+    aggregates: &[AggregateExpr],
+) -> Result<Schema> {
+    let mut fields = Vec::new();
+    for g in group_by {
+        fields.push(in_schema.field_by_name(g)?.clone());
+    }
+    for a in aggregates {
+        let dt = match a.func {
+            AggregateFunction::Count => DataType::Int64,
+            _ => DataType::Float64,
+        };
+        fields.push(Field::new(a.alias.clone(), dt));
+    }
+    Ok(Schema::new(fields)?)
 }
 
 impl fmt::Display for LogicalPlan {

@@ -356,8 +356,7 @@ impl Executor {
                 let stream = self.execute_stream(input, catalog, ctx)?;
                 let in_schema = stream.schema().clone();
                 let items = stream.collect(ctx.degree_of_parallelism)?;
-                let out_schema = Arc::new(plan.schema(catalog)?);
-                let out = aggregate_items(&in_schema, &items, group_by, aggregates, out_schema)?;
+                let out = aggregate_items(&in_schema, &items, group_by, aggregates)?;
                 Ok(BatchStream::once(out))
             }
             LogicalPlan::Limit { n, input } => {
@@ -638,18 +637,21 @@ fn group_key_part(col: &Column, row: usize) -> GroupKeyPart {
     }
 }
 
-/// Grouped/global aggregation over the collected stream elements, folding
-/// states one partition at a time and reading only each element's selected
-/// rows — no concatenated input copy exists. Group output order is first
-/// appearance across elements in source-partition order, matching what
-/// aggregation over the concatenated batch produced.
-fn aggregate_items(
+/// Grouped/global aggregation over collected stream elements of schema
+/// `in_schema`, folding states one partition at a time and reading only each
+/// element's selected rows — no concatenated input copy exists. Group output
+/// order is first appearance across elements in source-partition order, and
+/// every state folds its rows in that order, so the result is bitwise what
+/// aggregating the concatenated batch produces.
+pub fn aggregate_items(
     in_schema: &raven_columnar::SchemaRef,
     items: &[StreamBatch],
     group_by: &[String],
     aggregates: &[AggregateExpr],
-    out_schema: Arc<Schema>,
 ) -> Result<Batch> {
+    let out_schema = Arc::new(crate::logical::aggregate_schema(
+        in_schema, group_by, aggregates,
+    )?);
     // Aggregating zero surviving partitions must behave exactly like
     // aggregating an empty batch (argument type errors included), so run the
     // fold over one synthesized empty element.

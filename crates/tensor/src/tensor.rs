@@ -140,7 +140,7 @@ impl Tensor {
         out
     }
 
-    /// Gather: out[r][j] = self[r][ indices[r][j] ] where `indices` holds
+    /// Gather: `out[r][j] = self[r][indices[r][j]]` where `indices` holds
     /// column indices (as floats). Used by the TreeTraversal strategy.
     pub fn gather_cols(&self, indices: &Tensor) -> Result<Tensor> {
         if indices.rows != self.rows {

@@ -53,8 +53,13 @@
 //! * `core::RavenSession` drives predicate pushdown, statistics-based
 //!   **partition pruning** (observable as `ExecutionReport::pruned_partitions`),
 //!   scoring, and post-processing partition-parallel, and concatenates only
-//!   at the final output boundary. This is the one ML-runtime drive: the §7
-//!   "no-opt" baseline (`RavenConfig::no_opt`) runs it too, with data-induced
+//!   at the final output boundary, or folds the final aggregate over the
+//!   partitions. This is the one execution drive, and the runtime choice
+//!   (§5) only picks its scorer: the ML runtime's compiled pipeline, MLtoSQL's
+//!   expression evaluated under each partition's selection
+//!   (`relational::evaluate_selected`), or MLtoDNN's tensor model, which
+//!   takes the data side as one batch. The §7 "no-opt" baseline
+//!   (`RavenConfig::no_opt`) runs the drive too, with data-induced
 //!   optimizations — and therefore statistics pruning — off, and the
 //!   row-interpreted / materializing baselines compact each partition before
 //!   scoring it.
@@ -168,12 +173,14 @@
 //! Above the session sits `raven_serve` — the concurrent serving tier that
 //! makes the paper's premise pay off under repeated traffic. A query is
 //! **prepared once** (`core::RavenSession::prepare` → parse, cross- and
-//! data-induced optimization, and lowering to its physical artifact: the
-//! optimized relational plan for MLtoSQL, the compiled tensor model for
-//! MLtoDNN, or the pre-optimized data plan plus per-partition compiled
-//! models for the ML runtime) and **executed many times**
-//! (`execute_prepared`) — `sql` itself is prepare + execute, so cached plans
-//! are byte-identical to ad-hoc execution by construction. `serve::Server`
+//! data-induced optimization, and lowering to one form for every transform:
+//! the optimized relational data-side plan plus a scorer — the compiled
+//! pipeline, or one per partition with partition models, on the ML runtime;
+//! MLtoSQL's scoring expression; or MLtoDNN's compiled tensor model) and
+//! **executed many times** (`execute_prepared`, one streaming drive: data
+//! side → score op → output predicates and projection → one gather at the
+//! output, or the final aggregate) — `sql` itself is prepare + execute, so
+//! cached plans are byte-identical to ad-hoc execution by construction. `serve::Server`
 //! keys prepared statements by a normalized fingerprint
 //! (`ir::fingerprint_query`) in an LRU **plan cache** with a companion
 //! **compiled-model cache**; both are invalidated by catalog/registry epoch
