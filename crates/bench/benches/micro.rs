@@ -1,9 +1,10 @@
 //! Criterion micro-benchmarks of the hot paths behind the paper's
 //! experiments: vectorized expression evaluation (the MLtoSQL execution
-//! path), hash joins, native tree-ensemble inference, tensor-compiled (GEMM)
+//! path), hash joins (dense Int64 and hashed Utf8 key tables), native tree-ensemble inference, tensor-compiled (GEMM)
 //! inference, the Raven optimizer itself, and the end-to-end session.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use raven_columnar::TableBuilder;
 use raven_core::{pipeline_to_sql, RavenConfig, RavenSession, RuntimePolicy, TransformChoice};
 use raven_datagen::{credit_card, hospital};
 use raven_ml::{MlRuntime, ModelType};
@@ -50,6 +51,57 @@ fn bench_hash_join(c: &mut Criterion) {
         plan = plan.join(LogicalPlan::scan(right.clone()), lk, rk);
     }
     c.bench_function("three_way_hash_join_10k_rows", |b| {
+        b.iter(|| {
+            Executor::new()
+                .execute(&plan, &catalog, &ExecutionContext::default())
+                .unwrap()
+        })
+    });
+}
+
+/// The star join of `batch.join_star` at 20 000 fact rows: every dimension
+/// key is a dense Int64 surrogate, so each build side is a direct-index
+/// table.
+fn bench_star_join_dense(c: &mut Criterion) {
+    let dataset = raven_datagen::five_table_star(20_000, 7);
+    let mut catalog = Catalog::new();
+    for t in &dataset.tables {
+        catalog.register(t.clone());
+    }
+    let mut plan = LogicalPlan::scan(dataset.tables[0].name());
+    for (_, lk, right, rk) in &dataset.joins {
+        plan = plan.join(LogicalPlan::scan(right.clone()), lk, rk);
+    }
+    c.bench_function("star_join_dense_int_keys_20k_rows", |b| {
+        b.iter(|| {
+            Executor::new()
+                .execute(&plan, &catalog, &ExecutionContext::default())
+                .unwrap()
+        })
+    });
+}
+
+/// A 20 000-row fact table joined to 2 000 dimension rows on a Utf8 key:
+/// the hashed table layout, probed without allocating per row.
+fn bench_utf8_key_join(c: &mut Criterion) {
+    let key = |i: usize| format!("customer-{i:05}");
+    let mut catalog = Catalog::new();
+    catalog.register(
+        TableBuilder::new("fact")
+            .add_utf8("cust", (0..20_000).map(|i| key(i * 7 % 2_000)).collect())
+            .add_f64("amount", (0..20_000).map(|i| i as f64).collect())
+            .build()
+            .unwrap(),
+    );
+    catalog.register(
+        TableBuilder::new("dim")
+            .add_utf8("cust_key", (0..2_000).map(key).collect())
+            .add_f64("weight", (0..2_000).map(|i| i as f64 * 0.5).collect())
+            .build()
+            .unwrap(),
+    );
+    let plan = LogicalPlan::scan("fact").join(LogicalPlan::scan("dim"), "cust", "cust_key");
+    c.bench_function("utf8_key_join_20k_rows", |b| {
         b.iter(|| {
             Executor::new()
                 .execute(&plan, &catalog, &ExecutionContext::default())
@@ -166,6 +218,6 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_expression_eval, bench_nested_case, bench_hash_join, bench_model_inference, bench_optimizer, bench_end_to_end
+    targets = bench_expression_eval, bench_nested_case, bench_hash_join, bench_star_join_dense, bench_utf8_key_join, bench_model_inference, bench_optimizer, bench_end_to_end
 }
 criterion_main!(benches);

@@ -20,6 +20,7 @@ pub mod column;
 pub mod envcfg;
 pub mod error;
 pub mod failpoint;
+pub mod hash;
 pub mod partition;
 pub mod pool;
 pub mod schema;
@@ -31,6 +32,7 @@ pub mod value;
 
 pub use column::{Column, ColumnRef};
 pub use error::{ColumnarError, Result};
+pub use hash::{fast_hash, FastMap};
 pub use partition::{partition_by_column, partition_ranges, partition_sizes, PartitionSpec};
 pub use pool::{parallel_map, WorkerPool};
 pub use schema::{Field, Schema, SchemaRef};

@@ -4,8 +4,8 @@
 
 use crate::error::{MlError, Result};
 use crate::frame::{FrameValue, Matrix};
+use raven_columnar::FastMap;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Standard/affine scaler: `y = (x - offset) * scale` per feature column
 /// (ONNX `Scaler` semantics, matching the paper's §4.1 constant propagation).
@@ -91,7 +91,9 @@ impl Scaler {
 /// `transform` call on the interpreted path, once at compile time on the
 /// fused path) and answers every lookup without allocating:
 ///
-/// * strings hash straight into `by_string`;
+/// * strings hash straight into `by_string`. Both maps use the shared
+///   [`raven_columnar::hash`] hasher, not SipHash: their keys come from the
+///   model's category list, and a request only looks values up;
 /// * numeric values compare **numerically**: a category string `c` matches a
 ///   value `v` iff `format_numeric_category(v) == c`, which holds iff `c`
 ///   parses to a float that round-trips through the formatter and equals `v`
@@ -103,11 +105,11 @@ impl Scaler {
 ///   `to_string`) use an exact integer table.
 #[derive(Debug, Clone, Default)]
 pub struct CategoryTable {
-    by_string: HashMap<String, usize>,
+    by_string: FastMap<String, usize>,
     /// `(value, index)` for categories reachable from an `f64`, sorted by
     /// value (no NaNs; `-0.0` never appears — it renders as `"0"`).
     numeric: Vec<(f64, usize)>,
-    by_int: HashMap<i64, usize>,
+    by_int: FastMap<i64, usize>,
     nan_index: Option<usize>,
 }
 
@@ -509,6 +511,35 @@ mod tests {
         }
         assert_eq!(t.index_of_bool(true), Some(1));
         assert_eq!(t.index_of_bool(false), Some(0));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// Random string and integer category lists with duplicates: every
+        /// lookup agrees with `iter().position()` on the raw list (the first
+        /// index wins) and values absent from the list miss.
+        #[test]
+        fn category_table_matches_position(seed in 0u64..1_000_000) {
+            let mut rng = proptest::TestRng::deterministic(&format!("categories-{seed}"));
+            let words = ["", "a", "b", "ab", "yes", "no", "NaN", "3.0", "a longer category"];
+            let len = (rng.next_u64() % 12) as usize;
+            let cats: Vec<String> = (0..len)
+                .map(|_| match rng.next_u64() % 2 {
+                    0 => words[(rng.next_u64() % words.len() as u64) as usize].to_string(),
+                    _ => ((rng.next_u64() % 9) as i64 - 4).to_string(),
+                })
+                .collect();
+            let t = CategoryTable::build(&cats);
+            for w in words.iter().map(|w| w.to_string()).chain((-6..=6).map(|i: i64| i.to_string())) {
+                proptest::prop_assert_eq!(t.index_of_str(&w), cats.iter().position(|c| *c == w));
+            }
+            for i in -6i64..=6 {
+                let want = cats.iter().position(|c| *c == i.to_string());
+                proptest::prop_assert_eq!(t.index_of_i64(i), want, "int {}", i);
+                proptest::prop_assert_eq!(t.index_of_f64(i as f64), want, "float {}", i);
+            }
+        }
     }
 
     #[test]

@@ -184,11 +184,18 @@ impl LogicalPlan {
             } => {
                 let ls = left.schema(catalog)?;
                 let rs = right.schema(catalog)?;
-                if !ls.contains(left_key) {
-                    return Err(RelationalError::ColumnNotFound(left_key.clone()));
-                }
-                if !rs.contains(right_key) {
-                    return Err(RelationalError::ColumnNotFound(right_key.clone()));
+                let key_type = |s: &Schema, key: &String| {
+                    s.field_by_name(key)
+                        .map(|f| f.data_type())
+                        .map_err(|_| RelationalError::ColumnNotFound(key.clone()))
+                };
+                let (lt, rt) = (key_type(&ls, left_key)?, key_type(&rs, right_key)?);
+                // Keys compare within one type only: a Float64 key's bit
+                // pattern or a Boolean's 0/1 is not an Int64 value.
+                if lt != rt {
+                    return Err(RelationalError::Plan(format!(
+                        "join key types differ: `{left_key}` is {lt} but `{right_key}` is {rt}"
+                    )));
                 }
                 Ok(ls.merge(&rs, "r")?)
             }

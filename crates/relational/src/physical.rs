@@ -22,8 +22,8 @@ use crate::expr::{AggregateFunction, Expr};
 use crate::logical::{AggregateExpr, LogicalPlan};
 use crate::prune;
 use raven_columnar::{
-    Batch, BatchStream, Column, ColumnarError, DataType, Schema, SelectionVector, StreamBatch,
-    Value,
+    fast_hash, Batch, BatchStream, Column, ColumnRef, ColumnarError, DataType, FastMap, Schema,
+    SelectionVector, StreamBatch, Value,
 };
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -313,7 +313,7 @@ impl Executor {
                 self.metrics
                     .join_build_rows
                     .fetch_add(build_all.num_rows(), Ordering::Relaxed);
-                let build = Arc::new(build_hash_table(&build_all, build_key, capacity)?);
+                let build = Arc::new(JoinTable::build(&build_all, build_key, capacity)?);
                 let build_all = Arc::new(build_all);
                 let probe_key = probe_key.clone();
                 let metrics = self.metrics.clone();
@@ -457,57 +457,183 @@ fn coerce(col: raven_columnar::ColumnRef, to: DataType) -> Result<raven_columnar
 // Hash join
 // ---------------------------------------------------------------------------
 
-/// Key type for the join hash table. Int64 keys hash natively; other types go
-/// through a canonical string form.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum JoinKey {
-    Int(i64),
-    Str(String),
+/// End of a [`JoinTable`] chain.
+const NO_ROW: usize = usize::MAX;
+
+/// The build side of a hash join: for each key, the chain of build rows
+/// holding it, in ascending row order. Chains are threaded through one
+/// `next` array of build-row indices, so no key owns an allocation.
+///
+/// Two layouts, chosen from the key column alone:
+/// * **Dense:** an Int64 key whose range `max − min` is below twice the
+///   build row count (surrogate keys of a dimension table) indexes an array
+///   of chain heads directly at `key − min`; no hashing at all.
+/// * **Hashed:** every other key maps a 64-bit key code (see [`key_code`])
+///   to its chain head in a [`FastMap`].
+///
+/// NULL keys (the empty string, NaN) are never linked, so they never match.
+#[derive(Debug)]
+struct JoinTable {
+    heads: Heads,
+    /// `next[i]`: the next build row after `i` on `i`'s chain, or [`NO_ROW`].
+    next: Vec<usize>,
+    /// The build key column: Utf8 key codes are hashes, so a probe compares
+    /// the strings of the rows on the chain.
+    key: ColumnRef,
 }
 
-fn join_keys(batch: &Batch, key: &str) -> Result<Vec<Option<JoinKey>>> {
-    let col = batch.column_by_name(key)?;
-    Ok((0..col.len()).map(|i| join_key_at(col, i)).collect())
+#[derive(Debug)]
+enum Heads {
+    /// `heads[k - min]` is the chain head of key `k`.
+    Dense {
+        min: i64,
+        heads: Vec<usize>,
+    },
+    Hashed(FastMap<u64, usize>),
 }
 
-fn build_hash_table(
-    build: &Batch,
-    build_key: &str,
-    capacity: usize,
-) -> Result<HashMap<JoinKey, Vec<usize>>> {
-    let keys = join_keys(build, build_key)?;
-    // NDV-derived capacity: exact for unique keys, avoids over-allocating a
-    // row-count-sized table under duplicates — and never rehashes from empty.
-    let mut table: HashMap<JoinKey, Vec<usize>> = HashMap::with_capacity(capacity.min(keys.len()));
-    for (i, k) in keys.into_iter().enumerate() {
-        if let Some(k) = k {
-            table.entry(k).or_default().push(i);
-        }
-    }
-    Ok(table)
-}
-
-/// The join key of one row (what [`join_keys`] computes column-wide); the
-/// probe side computes keys lazily so a sparse selection never builds (or
-/// clones strings for) keys of deselected rows.
-fn join_key_at(col: &Column, i: usize) -> Option<JoinKey> {
+/// The key code of row `i`, or `None` for a NULL key. Int64 and Boolean
+/// codes are the value; Float64 codes are the bit pattern, so equality is
+/// bitwise (`0.0` and `-0.0` differ; NaN is NULL). These three are exact.
+/// A Utf8 code is the string's [`fast_hash`], so equal codes still compare
+/// the strings themselves.
+#[inline]
+fn key_code(col: &Column, i: usize) -> Option<u64> {
     match col {
-        Column::Int64(v) => Some(JoinKey::Int(v[i])),
-        Column::Utf8(v) => {
-            if v[i].is_empty() {
-                None
-            } else {
-                Some(JoinKey::Str(v[i].clone()))
+        Column::Int64(v) => Some(v[i] as u64),
+        Column::Float64(v) => (!v[i].is_nan()).then(|| v[i].to_bits()),
+        Column::Boolean(v) => Some(v[i] as u64),
+        Column::Utf8(v) => (!v[i].is_empty()).then(|| fast_hash(v[i].as_str())),
+    }
+}
+
+/// `(min, max − min + 1)` of an Int64 key column when that range is below
+/// twice its length, i.e. when a direct-index array of chain heads is at
+/// most twice as large as the rows it indexes.
+fn dense_range(col: &Column) -> Option<(i64, usize)> {
+    let Column::Int64(v) = col else {
+        return None;
+    };
+    let (&first, rest) = v.split_first()?;
+    let (min, max) = rest
+        .iter()
+        .fold((first, first), |(lo, hi), &k| (lo.min(k), hi.max(k)));
+    // `abs_diff` is `max − min` without overflow at the i64 extremes
+    let span = max.abs_diff(min);
+    (span < 2 * v.len() as u64).then(|| (min, span as usize + 1))
+}
+
+/// Slot of key `k` in a dense table starting at `min`: wrapping arithmetic
+/// maps every key below `min` past the end of the table (`k − min` taken
+/// modulo 2⁶⁴ is at least `2⁶⁴ − (min − i64::MIN)`, which is no smaller than
+/// the table's length `max − min + 1`), so one bounds check rejects keys on
+/// either side of the range.
+#[inline(always)]
+fn dense_slot(k: i64, min: i64) -> usize {
+    k.wrapping_sub(min) as u64 as usize
+}
+
+impl JoinTable {
+    /// Build the table over `build`'s `build_key` column. `capacity` sizes
+    /// the hashed layout (the NDV estimate: under duplicate keys the distinct
+    /// count, not the row count, bounds the entry count).
+    fn build(build: &Batch, build_key: &str, capacity: usize) -> Result<JoinTable> {
+        let key = build.column_by_name(build_key)?.clone();
+        let rows = key.len();
+        let mut next = vec![NO_ROW; rows];
+        // Rows are pushed onto chain heads last to first, so every chain
+        // runs in ascending build-row order.
+        let heads = match (key.as_ref(), dense_range(&key)) {
+            (Column::Int64(v), Some((min, len))) => {
+                let mut heads = vec![NO_ROW; len];
+                for i in (0..rows).rev() {
+                    let head = &mut heads[dense_slot(v[i], min)];
+                    next[i] = *head;
+                    *head = i;
+                }
+                Heads::Dense { min, heads }
             }
-        }
-        Column::Float64(v) => {
-            if v[i].is_nan() {
-                None
-            } else {
-                Some(JoinKey::Int(v[i].to_bits() as i64))
+            _ => {
+                let mut map =
+                    FastMap::with_capacity_and_hasher(capacity.min(rows), Default::default());
+                for i in (0..rows).rev() {
+                    if let Some(code) = key_code(&key, i) {
+                        let head = map.entry(code).or_insert(NO_ROW);
+                        next[i] = *head;
+                        *head = i;
+                    }
+                }
+                Heads::Hashed(map)
             }
+        };
+        Ok(JoinTable { heads, next, key })
+    }
+
+    /// Append `(probe row, build row)` for every match of the probe rows
+    /// `rows` (ascending) against the table, in probe-row order and within
+    /// one probe row in ascending build-row order.
+    fn probe(
+        &self,
+        probe_key: &Column,
+        rows: impl Iterator<Item = usize>,
+        probe_idx: &mut Vec<usize>,
+        build_idx: &mut Vec<usize>,
+    ) -> Result<()> {
+        if probe_key.data_type() != self.key.data_type() {
+            return Err(RelationalError::Plan(format!(
+                "join key types differ: probe {} vs build {}",
+                probe_key.data_type(),
+                self.key.data_type()
+            )));
         }
-        Column::Boolean(v) => Some(JoinKey::Int(v[i] as i64)),
+        let next = &self.next;
+        let mut emit = |i: usize, mut j: usize| {
+            while j != NO_ROW {
+                probe_idx.push(i);
+                build_idx.push(j);
+                j = next[j];
+            }
+        };
+        match &self.heads {
+            Heads::Dense { min, heads } => {
+                let v = probe_key.as_i64()?;
+                for i in rows {
+                    if let Some(&head) = heads.get(dense_slot(v[i], *min)) {
+                        emit(i, head);
+                    }
+                }
+            }
+            Heads::Hashed(map) => match probe_key {
+                Column::Utf8(v) => {
+                    let build = self.key.as_utf8()?;
+                    for i in rows {
+                        let s = v[i].as_str();
+                        if s.is_empty() {
+                            continue;
+                        }
+                        let Some(&head) = map.get(&fast_hash(s)) else {
+                            continue;
+                        };
+                        let mut j = head;
+                        while j != NO_ROW {
+                            if build[j] == s {
+                                probe_idx.push(i);
+                                build_idx.push(j);
+                            }
+                            j = next[j];
+                        }
+                    }
+                }
+                col => {
+                    for i in rows {
+                        if let Some(&head) = key_code(col, i).and_then(|c| map.get(&c)) {
+                            emit(i, head);
+                        }
+                    }
+                }
+            },
+        }
+        Ok(())
     }
 }
 
@@ -518,7 +644,7 @@ fn probe_hash_join(
     probe: &Batch,
     probe_selection: Option<&SelectionVector>,
     build_batch: &Batch,
-    build: &HashMap<JoinKey, Vec<usize>>,
+    build: &JoinTable,
     probe_key: &str,
     out_schema: Arc<Schema>,
     build_is_left: bool,
@@ -534,27 +660,9 @@ fn probe_hash_join(
         let (probe_idx, build_idx) = &mut *scratch.borrow_mut();
         probe_idx.clear();
         build_idx.clear();
-        let mut probe_row = |i: usize| {
-            if let Some(k) = join_key_at(key_col, i) {
-                if let Some(matches) = build.get(&k) {
-                    for &j in matches {
-                        probe_idx.push(i);
-                        build_idx.push(j);
-                    }
-                }
-            }
-        };
         match probe_selection {
-            None => {
-                for i in 0..probe.num_rows() {
-                    probe_row(i);
-                }
-            }
-            Some(sel) => {
-                for i in sel.iter() {
-                    probe_row(i);
-                }
-            }
+            None => build.probe(key_col, 0..probe.num_rows(), probe_idx, build_idx)?,
+            Some(sel) => build.probe(key_col, sel.iter(), probe_idx, build_idx)?,
         }
         let probe_out = probe.take(probe_idx)?;
         let build_out = build_batch.take(build_idx)?;
@@ -762,6 +870,7 @@ mod tests {
     use super::*;
     use crate::expr::{col, lit};
     use crate::optimizer::Optimizer;
+    use proptest::prelude::*;
     use raven_columnar::TableBuilder;
 
     fn catalog() -> Catalog {
@@ -1254,6 +1363,212 @@ mod tests {
             .unwrap();
         assert_eq!(out.num_rows(), 125);
         assert!(exec.metrics().partitions_pruned() >= 6);
+    }
+
+    /// Keys of different types must not match on bit patterns: Int64
+    /// `4607182418800017408` is the bit pattern of Float64 `1.0`, and Int64
+    /// `1` is a Boolean `true`. Both pairs are plan errors.
+    #[test]
+    fn join_keys_of_different_types_are_a_plan_error() {
+        let pairs = [
+            (
+                TableBuilder::new("l").add_i64("k", vec![4_607_182_418_800_017_408]),
+                TableBuilder::new("r").add_f64("k2", vec![1.0]),
+            ),
+            (
+                TableBuilder::new("l").add_i64("k", vec![1]),
+                TableBuilder::new("r").add_bool("k2", vec![true]),
+            ),
+        ];
+        for (left, right) in pairs {
+            let mut c = Catalog::new();
+            c.register(left.build().unwrap());
+            c.register(right.build().unwrap());
+            let plan = LogicalPlan::scan("l").join(LogicalPlan::scan("r"), "k", "k2");
+            let err = plan.schema(&c).unwrap_err();
+            assert!(matches!(err, RelationalError::Plan(_)), "{err}");
+            let err = Executor::new()
+                .execute(&plan, &c, &ExecutionContext::default())
+                .unwrap_err();
+            assert!(err.to_string().contains("join key types differ"), "{err}");
+        }
+    }
+
+    /// Reference join table: one SipHash `HashMap<JoinKey, Vec<usize>>`
+    /// entry per build key, Float64 keyed by its bits and Boolean as 0/1,
+    /// empty strings and NaN never matching. [`JoinTable`] must match it
+    /// bitwise, row order included.
+    #[derive(Debug, Clone, PartialEq, Eq, Hash)]
+    enum JoinKey {
+        Int(i64),
+        Str(String),
+    }
+
+    fn reference_key(col: &Column, i: usize) -> Option<JoinKey> {
+        match col {
+            Column::Int64(v) => Some(JoinKey::Int(v[i])),
+            Column::Utf8(v) => (!v[i].is_empty()).then(|| JoinKey::Str(v[i].clone())),
+            Column::Float64(v) => (!v[i].is_nan()).then(|| JoinKey::Int(v[i].to_bits() as i64)),
+            Column::Boolean(v) => Some(JoinKey::Int(v[i] as i64)),
+        }
+    }
+
+    fn reference_join(
+        probe: &Batch,
+        selection: Option<&SelectionVector>,
+        build: &Batch,
+        out_schema: Arc<Schema>,
+        build_is_left: bool,
+    ) -> Batch {
+        let build_key = build.column_by_name("bk").unwrap();
+        let mut table: HashMap<JoinKey, Vec<usize>> = HashMap::new();
+        for i in 0..build_key.len() {
+            if let Some(k) = reference_key(build_key, i) {
+                table.entry(k).or_default().push(i);
+            }
+        }
+        let probe_key = probe.column_by_name("pk").unwrap();
+        let rows: Vec<usize> = match selection {
+            None => (0..probe.num_rows()).collect(),
+            Some(sel) => sel.iter().collect(),
+        };
+        let (mut probe_idx, mut build_idx) = (Vec::new(), Vec::new());
+        for i in rows {
+            if let Some(matches) = reference_key(probe_key, i).and_then(|k| table.get(&k)) {
+                for &j in matches {
+                    probe_idx.push(i);
+                    build_idx.push(j);
+                }
+            }
+        }
+        let (probe_out, build_out) = (
+            probe.take(&probe_idx).unwrap(),
+            build.take(&build_idx).unwrap(),
+        );
+        let (first, second) = if build_is_left {
+            (build_out, probe_out)
+        } else {
+            (probe_out, build_out)
+        };
+        let columns = first.columns().iter().chain(second.columns()).cloned();
+        Batch::new(out_schema, columns.collect()).unwrap()
+    }
+
+    /// Every cell with floats as bit patterns, column by column.
+    fn cell_bits(batch: &Batch) -> Vec<Vec<String>> {
+        batch
+            .columns()
+            .iter()
+            .map(|c| {
+                (0..c.len())
+                    .map(|r| match c.as_ref() {
+                        Column::Int64(v) => format!("i{}", v[r]),
+                        Column::Float64(v) => format!("f{:016x}", v[r].to_bits()),
+                        Column::Utf8(v) => format!("s{}", v[r]),
+                        Column::Boolean(v) => format!("b{}", v[r]),
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// One random key column of the given kind: 0 dense Int64 (range below
+    /// the row count, based anywhere from `i64::MIN` to `i64::MAX`), 1
+    /// sparse Int64 (spanning `i64::MIN..=i64::MAX` once `rows >= 2`), 2
+    /// Utf8 with empty strings, 3 Float64 with NaN, `0.0` and `-0.0`, 4
+    /// Boolean. Probe columns (`probe: true`) also reach keys just outside
+    /// a dense range.
+    fn random_keys(rng: &mut TestRng, kind: u64, base: i64, rows: usize, probe: bool) -> Column {
+        let mut pick = |n: usize| (rng.next_u64() % n as u64) as usize;
+        match kind {
+            0 => {
+                let range = rows.max(1);
+                let (width, shift) = if probe { (range + 4, 2) } else { (range, 0) };
+                Column::Int64(
+                    (0..rows)
+                        .map(|_| base.wrapping_add(pick(width) as i64 - shift))
+                        .collect(),
+                )
+            }
+            1 => {
+                let pool = [i64::MIN, i64::MAX, -1, 0, 1, 7, 1 << 40, -(1 << 40)];
+                Column::Int64(
+                    (0..rows)
+                        .map(|i| match (probe, i) {
+                            (false, 0) => i64::MIN,
+                            (false, 1) => i64::MAX,
+                            _ => pool[pick(pool.len())],
+                        })
+                        .collect(),
+                )
+            }
+            2 => {
+                let pool = ["", "a", "b", "ab", "ba", "a longer key past one word"];
+                Column::Utf8((0..rows).map(|_| pool[pick(pool.len())].into()).collect())
+            }
+            3 => {
+                let other_nan = f64::from_bits(f64::NAN.to_bits() ^ 1);
+                let pool = [f64::NAN, other_nan, 0.0, -0.0, 1.0, -1.5, f64::INFINITY];
+                Column::Float64((0..rows).map(|_| pool[pick(pool.len())]).collect())
+            }
+            _ => Column::Boolean((0..rows).map(|_| pick(2) == 1).collect()),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The dense and hashed join tables produce bitwise the reference's
+        /// output, row order included, for every key type, with duplicate
+        /// keys on both sides, under probe selections, building either side.
+        #[test]
+        fn join_table_matches_reference(seed in 0u64..1_000_000) {
+            let mut rng = TestRng::deterministic(&format!("join-{seed}"));
+            for kind in 0..5u64 {
+                let bases = [0, -37, i64::MIN, i64::MAX - 64];
+                let base = bases[(rng.next_u64() % 4) as usize];
+                let build_rows = (rng.next_u64() % 40) as usize;
+                let probe_rows = (rng.next_u64() % 60) as usize;
+                let build_key = random_keys(&mut rng, kind, base, build_rows, false);
+                let probe_key = random_keys(&mut rng, kind, base, probe_rows, true);
+                let build = Batch::new(
+                    Arc::new(Schema::new(vec![
+                        raven_columnar::Field::new("bk", build_key.data_type()),
+                        raven_columnar::Field::new("bid", DataType::Int64),
+                    ]).unwrap()),
+                    vec![Arc::new(build_key), Arc::new(Column::Int64((0..build_rows as i64).collect()))],
+                ).unwrap();
+                let probe = Batch::new(
+                    Arc::new(Schema::new(vec![
+                        raven_columnar::Field::new("pk", probe_key.data_type()),
+                        raven_columnar::Field::new("pid", DataType::Int64),
+                    ]).unwrap()),
+                    vec![Arc::new(probe_key), Arc::new(Column::Int64((0..probe_rows as i64).collect()))],
+                ).unwrap();
+                let capacity = (rng.next_u64() % 50) as usize;
+                let table = JoinTable::build(&build, "bk", capacity).unwrap();
+                let dense = matches!(table.heads, Heads::Dense { .. });
+                // one sparse key is a range of one
+                let want_dense = kind == 0 && build_rows > 0 || kind == 1 && build_rows == 1;
+                prop_assert_eq!(dense, want_dense, "kind {}", kind);
+                let selection = rng.next_u64().is_multiple_of(2).then(|| {
+                    let mask: Vec<bool> = (0..probe_rows).map(|_| !rng.next_u64().is_multiple_of(3)).collect();
+                    SelectionVector::from_mask(&mask)
+                });
+                for build_is_left in [false, true] {
+                    let out_schema = Arc::new(if build_is_left {
+                        build.schema().merge(probe.schema(), "r").unwrap()
+                    } else {
+                        probe.schema().merge(build.schema(), "r").unwrap()
+                    });
+                    let got = probe_hash_join(
+                        &probe, selection.as_ref(), &build, &table, "pk", out_schema.clone(), build_is_left,
+                    ).unwrap();
+                    let want = reference_join(&probe, selection.as_ref(), &build, out_schema, build_is_left);
+                    prop_assert_eq!(cell_bits(&got), cell_bits(&want), "kind {}", kind);
+                }
+            }
+        }
     }
 
     #[test]
