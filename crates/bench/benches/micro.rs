@@ -1,7 +1,8 @@
 //! Criterion micro-benchmarks of the hot paths behind the paper's
 //! experiments: vectorized expression evaluation (the MLtoSQL execution
-//! path), hash joins (dense Int64 and hashed Utf8 key tables), native tree-ensemble inference, tensor-compiled (GEMM)
-//! inference, the Raven optimizer itself, and the end-to-end session.
+//! path), hash joins (dense Int64 and Utf8 keys), native tree-ensemble
+//! inference, tensor-compiled (GEMM) inference, the Raven optimizer itself,
+//! and the end-to-end session.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use raven_columnar::TableBuilder;
@@ -60,8 +61,7 @@ fn bench_hash_join(c: &mut Criterion) {
 }
 
 /// The star join of `batch.join_star` at 20 000 fact rows: every dimension
-/// key is a dense Int64 surrogate, so each build side is a direct-index
-/// table.
+/// key is a dense Int64 surrogate.
 fn bench_star_join_dense(c: &mut Criterion) {
     let dataset = raven_datagen::five_table_star(20_000, 7);
     let mut catalog = Catalog::new();
@@ -81,8 +81,8 @@ fn bench_star_join_dense(c: &mut Criterion) {
     });
 }
 
-/// A 20 000-row fact table joined to 2 000 dimension rows on a Utf8 key:
-/// the hashed table layout, probed without allocating per row.
+/// A 20 000-row fact table joined to 2 000 dimension rows on a Utf8 key,
+/// probed without allocating per row.
 fn bench_utf8_key_join(c: &mut Criterion) {
     let key = |i: usize| format!("customer-{i:05}");
     let mut catalog = Catalog::new();

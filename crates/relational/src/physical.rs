@@ -461,35 +461,19 @@ fn coerce(col: raven_columnar::ColumnRef, to: DataType) -> Result<raven_columnar
 const NO_ROW: usize = usize::MAX;
 
 /// The build side of a hash join: for each key, the chain of build rows
-/// holding it, in ascending row order. Chains are threaded through one
-/// `next` array of build-row indices, so no key owns an allocation.
-///
-/// Two layouts, chosen from the key column alone:
-/// * **Dense:** an Int64 key whose range `max − min` is below twice the
-///   build row count (surrogate keys of a dimension table) indexes an array
-///   of chain heads directly at `key − min`; no hashing at all.
-/// * **Hashed:** every other key maps a 64-bit key code (see [`key_code`])
-///   to its chain head in a [`FastMap`].
-///
-/// NULL keys (the empty string, NaN) are never linked, so they never match.
+/// holding it, in ascending row order. A [`FastMap`] maps each key's 64-bit
+/// code (see [`key_code`]) to its chain head, and chains are threaded
+/// through one `next` array of build-row indices, so no key owns an
+/// allocation. NULL keys (the empty string, NaN) are never linked, so they
+/// never match.
 #[derive(Debug)]
 struct JoinTable {
-    heads: Heads,
+    heads: FastMap<u64, usize>,
     /// `next[i]`: the next build row after `i` on `i`'s chain, or [`NO_ROW`].
     next: Vec<usize>,
     /// The build key column: Utf8 key codes are hashes, so a probe compares
     /// the strings of the rows on the chain.
     key: ColumnRef,
-}
-
-#[derive(Debug)]
-enum Heads {
-    /// `heads[k - min]` is the chain head of key `k`.
-    Dense {
-        min: i64,
-        heads: Vec<usize>,
-    },
-    Hashed(FastMap<u64, usize>),
 }
 
 /// The key code of row `i`, or `None` for a NULL key. Int64 and Boolean
@@ -507,133 +491,79 @@ fn key_code(col: &Column, i: usize) -> Option<u64> {
     }
 }
 
-/// `(min, max − min + 1)` of an Int64 key column when that range is below
-/// twice its length, i.e. when a direct-index array of chain heads is at
-/// most twice as large as the rows it indexes.
-fn dense_range(col: &Column) -> Option<(i64, usize)> {
-    let Column::Int64(v) = col else {
-        return None;
-    };
-    let (&first, rest) = v.split_first()?;
-    let (min, max) = rest
-        .iter()
-        .fold((first, first), |(lo, hi), &k| (lo.min(k), hi.max(k)));
-    // `abs_diff` is `max − min` without overflow at the i64 extremes
-    let span = max.abs_diff(min);
-    (span < 2 * v.len() as u64).then(|| (min, span as usize + 1))
-}
-
-/// Slot of key `k` in a dense table starting at `min`: wrapping arithmetic
-/// maps every key below `min` past the end of the table (`k − min` taken
-/// modulo 2⁶⁴ is at least `2⁶⁴ − (min − i64::MIN)`, which is no smaller than
-/// the table's length `max − min + 1`), so one bounds check rejects keys on
-/// either side of the range.
-#[inline(always)]
-fn dense_slot(k: i64, min: i64) -> usize {
-    k.wrapping_sub(min) as u64 as usize
-}
-
 impl JoinTable {
     /// Build the table over `build`'s `build_key` column. `capacity` sizes
-    /// the hashed layout (the NDV estimate: under duplicate keys the distinct
-    /// count, not the row count, bounds the entry count).
+    /// the map (the NDV estimate: under duplicate keys the distinct count,
+    /// not the row count, bounds the entry count).
     fn build(build: &Batch, build_key: &str, capacity: usize) -> Result<JoinTable> {
         let key = build.column_by_name(build_key)?.clone();
         let rows = key.len();
         let mut next = vec![NO_ROW; rows];
+        let mut heads = FastMap::with_capacity_and_hasher(capacity.min(rows), Default::default());
         // Rows are pushed onto chain heads last to first, so every chain
         // runs in ascending build-row order.
-        let heads = match (key.as_ref(), dense_range(&key)) {
-            (Column::Int64(v), Some((min, len))) => {
-                let mut heads = vec![NO_ROW; len];
-                for i in (0..rows).rev() {
-                    let head = &mut heads[dense_slot(v[i], min)];
-                    next[i] = *head;
-                    *head = i;
-                }
-                Heads::Dense { min, heads }
+        for i in (0..rows).rev() {
+            if let Some(code) = key_code(&key, i) {
+                let head = heads.entry(code).or_insert(NO_ROW);
+                next[i] = *head;
+                *head = i;
             }
-            _ => {
-                let mut map =
-                    FastMap::with_capacity_and_hasher(capacity.min(rows), Default::default());
-                for i in (0..rows).rev() {
-                    if let Some(code) = key_code(&key, i) {
-                        let head = map.entry(code).or_insert(NO_ROW);
-                        next[i] = *head;
-                        *head = i;
-                    }
-                }
-                Heads::Hashed(map)
-            }
-        };
+        }
         Ok(JoinTable { heads, next, key })
     }
 
     /// Append `(probe row, build row)` for every match of the probe rows
     /// `rows` (ascending) against the table, in probe-row order and within
-    /// one probe row in ascending build-row order.
+    /// one probe row in ascending build-row order. The key types match:
+    /// [`LogicalPlan::schema`] rejects a join whose key types differ.
     fn probe(
         &self,
         probe_key: &Column,
         rows: impl Iterator<Item = usize>,
         probe_idx: &mut Vec<usize>,
         build_idx: &mut Vec<usize>,
-    ) -> Result<()> {
-        if probe_key.data_type() != self.key.data_type() {
-            return Err(RelationalError::Plan(format!(
-                "join key types differ: probe {} vs build {}",
-                probe_key.data_type(),
-                self.key.data_type()
-            )));
-        }
+    ) {
+        debug_assert_eq!(probe_key.data_type(), self.key.data_type());
         let next = &self.next;
-        let mut emit = |i: usize, mut j: usize| {
-            while j != NO_ROW {
-                probe_idx.push(i);
-                build_idx.push(j);
-                j = next[j];
-            }
-        };
-        match &self.heads {
-            Heads::Dense { min, heads } => {
-                let v = probe_key.as_i64()?;
+        let head = |i| key_code(probe_key, i).and_then(|c| self.heads.get(&c).copied());
+        match (probe_key, self.key.as_ref()) {
+            // Utf8 codes are hashes: compare the strings on the chain
+            (Column::Utf8(p), Column::Utf8(b)) => {
                 for i in rows {
-                    if let Some(&head) = heads.get(dense_slot(v[i], *min)) {
-                        emit(i, head);
+                    if let Some(head) = head(i) {
+                        walk_chain(next, head, |j| b[j] == p[i], i, probe_idx, build_idx);
                     }
                 }
             }
-            Heads::Hashed(map) => match probe_key {
-                Column::Utf8(v) => {
-                    let build = self.key.as_utf8()?;
-                    for i in rows {
-                        let s = v[i].as_str();
-                        if s.is_empty() {
-                            continue;
-                        }
-                        let Some(&head) = map.get(&fast_hash(s)) else {
-                            continue;
-                        };
-                        let mut j = head;
-                        while j != NO_ROW {
-                            if build[j] == s {
-                                probe_idx.push(i);
-                                build_idx.push(j);
-                            }
-                            j = next[j];
-                        }
+            _ => {
+                for i in rows {
+                    if let Some(head) = head(i) {
+                        walk_chain(next, head, |_| true, i, probe_idx, build_idx);
                     }
                 }
-                col => {
-                    for i in rows {
-                        if let Some(&head) = key_code(col, i).and_then(|c| map.get(&c)) {
-                            emit(i, head);
-                        }
-                    }
-                }
-            },
+            }
         }
-        Ok(())
+    }
+}
+
+/// Append `(i, j)` for every build row `j` on the chain from `head` that
+/// `hit` accepts, in chain (ascending build-row) order.
+#[inline(always)]
+fn walk_chain(
+    next: &[usize],
+    head: usize,
+    hit: impl Fn(usize) -> bool,
+    i: usize,
+    probe_idx: &mut Vec<usize>,
+    build_idx: &mut Vec<usize>,
+) {
+    let mut j = head;
+    while j != NO_ROW {
+        if hit(j) {
+            probe_idx.push(i);
+            build_idx.push(j);
+        }
+        j = next[j];
     }
 }
 
@@ -661,8 +591,8 @@ fn probe_hash_join(
         probe_idx.clear();
         build_idx.clear();
         match probe_selection {
-            None => build.probe(key_col, 0..probe.num_rows(), probe_idx, build_idx)?,
-            Some(sel) => build.probe(key_col, sel.iter(), probe_idx, build_idx)?,
+            None => build.probe(key_col, 0..probe.num_rows(), probe_idx, build_idx),
+            Some(sel) => build.probe(key_col, sel.iter(), probe_idx, build_idx),
         }
         let probe_out = probe.take(probe_idx)?;
         let build_out = build_batch.take(build_idx)?;
@@ -1366,6 +1296,25 @@ mod tests {
     }
 
     /// Keys of different types must not match on bit patterns: Int64
+    /// Utf8 key codes are hashes, so a chain can hold strings other than the
+    /// probe's: a table whose chain for "a"'s code also holds "b" (a forced
+    /// collision) still matches "a" only with "a".
+    #[test]
+    fn utf8_probe_compares_strings_on_the_chain() {
+        let key: ColumnRef = Arc::new(Column::Utf8(vec!["a".into(), "b".into(), "a".into()]));
+        let mut heads = FastMap::default();
+        heads.insert(fast_hash("a"), 0);
+        let table = JoinTable {
+            heads,
+            next: vec![1, 2, NO_ROW],
+            key,
+        };
+        let probe = Column::Utf8(vec!["a".into(), "b".into()]);
+        let (mut probe_idx, mut build_idx) = (Vec::new(), Vec::new());
+        table.probe(&probe, 0..2, &mut probe_idx, &mut build_idx);
+        assert_eq!((probe_idx, build_idx), (vec![0, 0], vec![0, 2]));
+    }
+
     /// `4607182418800017408` is the bit pattern of Float64 `1.0`, and Int64
     /// `1` is a Boolean `true`. Both pairs are plan errors.
     #[test]
@@ -1477,7 +1426,7 @@ mod tests {
     /// sparse Int64 (spanning `i64::MIN..=i64::MAX` once `rows >= 2`), 2
     /// Utf8 with empty strings, 3 Float64 with NaN, `0.0` and `-0.0`, 4
     /// Boolean. Probe columns (`probe: true`) also reach keys just outside
-    /// a dense range.
+    /// the build side's dense range.
     fn random_keys(rng: &mut TestRng, kind: u64, base: i64, rows: usize, probe: bool) -> Column {
         let mut pick = |n: usize| (rng.next_u64() % n as u64) as usize;
         match kind {
@@ -1518,9 +1467,9 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// The dense and hashed join tables produce bitwise the reference's
-        /// output, row order included, for every key type, with duplicate
-        /// keys on both sides, under probe selections, building either side.
+        /// The join table produces bitwise the reference's output, row
+        /// order included, for every key type, with duplicate keys on both
+        /// sides, under probe selections, building either side.
         #[test]
         fn join_table_matches_reference(seed in 0u64..1_000_000) {
             let mut rng = TestRng::deterministic(&format!("join-{seed}"));
@@ -1547,10 +1496,6 @@ mod tests {
                 ).unwrap();
                 let capacity = (rng.next_u64() % 50) as usize;
                 let table = JoinTable::build(&build, "bk", capacity).unwrap();
-                let dense = matches!(table.heads, Heads::Dense { .. });
-                // one sparse key is a range of one
-                let want_dense = kind == 0 && build_rows > 0 || kind == 1 && build_rows == 1;
-                prop_assert_eq!(dense, want_dense, "kind {}", kind);
                 let selection = rng.next_u64().is_multiple_of(2).then(|| {
                     let mask: Vec<bool> = (0..probe_rows).map(|_| !rng.next_u64().is_multiple_of(3)).collect();
                     SelectionVector::from_mask(&mask)
