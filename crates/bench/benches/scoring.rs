@@ -15,9 +15,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use raven_columnar::Batch;
-use raven_ml::{
-    force_fusion, CompiledPipeline, FlatEnsemble, Matrix, MlRuntime, ModelType, Pipeline,
-};
+use raven_ml::{CompiledPipeline, FlatEnsemble, Matrix, MlRuntime, ModelType, Pipeline};
 
 fn trained(rows: usize, model: ModelType, name: &'static str) -> (Pipeline, Batch) {
     let dataset = raven_datagen::hospital(rows, 11);
@@ -89,13 +87,12 @@ fn bench_fused_pipeline(c: &mut Criterion) {
         let (pipeline, batch) = trained(rows, model, label);
         let compiled = CompiledPipeline::compile(&pipeline).expect("compile");
         assert!(compiled.fused().is_some(), "{label} should fuse");
+        let per_operator = compiled.per_operator();
         group.bench_function(format!("per-operator/{label}"), |b| {
-            force_fusion(Some(false));
             b.iter(|| {
-                rt.run_batch_compiled(&compiled, &batch)
+                rt.run_batch_compiled(&per_operator, &batch)
                     .expect("per-operator scoring")
-            });
-            force_fusion(None);
+            })
         });
         group.bench_function(format!("fused/{label}"), |b| {
             b.iter(|| {

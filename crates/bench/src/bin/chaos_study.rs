@@ -10,7 +10,7 @@ fn main() {
     let rows = arg(1).unwrap_or(2_000);
     let requests = arg(2).unwrap_or(1_200);
     let clients = arg(3).unwrap_or(100);
-    let result = raven_bench::chaos_study_recording(rows, requests, clients);
+    let result = raven_bench::chaos_study(rows, requests, clients);
     assert_eq!(
         result.schedules.len(),
         3,

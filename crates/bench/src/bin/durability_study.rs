@@ -15,7 +15,7 @@ fn main() {
     let rows = arg(1).unwrap_or(20_000);
     let runs = arg(2).unwrap_or(3);
     let crash_exe = std::env::current_exe().ok();
-    let result = raven_bench::durability_study_recording(rows, runs, crash_exe.as_deref());
+    let result = raven_bench::durability_study(rows, runs, crash_exe.as_deref());
     assert!(
         result.crash_recovered,
         "the SIGKILLed writer's journal must replay to a clean prefix"

@@ -6,7 +6,7 @@ fn main() {
     let rows = arg(1).unwrap_or(2_000);
     let requests = arg(2).unwrap_or(600);
     let clients = arg(3).unwrap_or(100);
-    let result = raven_bench::heavy_traffic_study_recording(rows, requests, clients);
+    let result = raven_bench::heavy_traffic_study(rows, requests, clients);
     assert!(
         result.fusion_gain >= raven_bench::FUSION_QPS_GATE,
         "cross-request fusion should deliver >= {}x the one-drive-per-request \

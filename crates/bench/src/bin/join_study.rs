@@ -6,7 +6,7 @@ fn main() {
     let arg = |i: usize| std::env::args().nth(i).and_then(|s| s.parse().ok());
     let rows = arg(1).unwrap_or(40_000);
     let runs = arg(2).unwrap_or(5);
-    let result = raven_bench::join_study_recording(rows, runs);
+    let result = raven_bench::join_study(rows, runs);
     assert!(
         result.results_identical,
         "cost-based and as-written plans must produce bitwise-identical rows \

@@ -7,7 +7,7 @@ fn main() {
     let rows = arg(1).unwrap_or(2_000);
     let requests = arg(2).unwrap_or(200);
     let clients = arg(3).unwrap_or(4);
-    let result = raven_bench::serving_study_recording(rows, requests, clients);
+    let result = raven_bench::serving_study(rows, requests, clients);
     assert!(
         result.speedup >= 3.0,
         "prepared execution should beat per-request optimization by >= 3x, got {:.1}x",

@@ -687,8 +687,8 @@ pub fn scoring_kernel_ab(
 /// featurizers + intermediate matrices + flat tree kernels) vs the PR 5
 /// fused pass (featurizers folded into the feature-lane transpose, model
 /// kernel fed lanes in place). Both sides run the identical
-/// `run_batch_compiled` entry point; only the fusion override
-/// differs.
+/// `run_batch_compiled` entry point; the baseline runs
+/// [`raven_ml::CompiledPipeline::per_operator`].
 pub struct FusedPipelineAb {
     /// Rows scored per iteration.
     pub rows: usize,
@@ -707,7 +707,7 @@ pub fn fused_pipeline_ab(
     batch: &raven_columnar::Batch,
     min_secs: f64,
 ) -> Option<FusedPipelineAb> {
-    use raven_ml::{force_fusion, CompiledPipeline, MlRuntime};
+    use raven_ml::{CompiledPipeline, MlRuntime};
     let compiled = CompiledPipeline::compile(pipeline).ok()?;
     compiled.fused()?;
     let rows = batch.num_rows();
@@ -716,14 +716,13 @@ pub fn fused_pipeline_ab(
     }
     let rt = MlRuntime::new();
     let measure = |f: &mut dyn FnMut()| measure_rows_per_sec(rows, min_secs, 3, f);
-    force_fusion(Some(false));
+    let per_operator = compiled.per_operator();
     let unfused_rows_per_sec = measure(&mut || {
         std::hint::black_box(
-            rt.run_batch_compiled(&compiled, batch)
+            rt.run_batch_compiled(&per_operator, batch)
                 .expect("unfused scoring"),
         );
     });
-    force_fusion(None);
     let fused_rows_per_sec = measure(&mut || {
         std::hint::black_box(
             rt.run_batch_compiled(&compiled, batch)
@@ -739,8 +738,7 @@ pub fn fused_pipeline_ab(
 }
 
 /// Smoke gate for the scoring A/B: flattened must beat interpreted by this
-/// factor. Shared by the smoke binary's assert and the artifact write gate
-/// in [`serving_study_recording`] so the two cannot drift.
+/// factor. The smoke binary asserts it.
 pub const SCORING_SPEEDUP_GATE: f64 = 3.0;
 
 /// Smoke gate for selection-vector execution: a filtered streaming plan must
@@ -763,24 +761,6 @@ pub const FUSED_PIPELINE_SPEEDUP_GATE: f64 = 1.5;
 /// amortize. The query's predicate is on `id` — not a model input — so query
 /// variants with different literals share one compiled-model cache entry.
 pub fn serving_study(rows: usize, requests: usize, clients: usize) -> ServingStudyResult {
-    serving_study_impl(rows, requests, clients, false)
-}
-
-/// [`serving_study`] for the smoke binary: additionally persists the
-/// `BENCH_scoring.json` perf-trajectory artifact (optimized builds whose
-/// measurements pass the smoke gates only). Library callers — the unit tests
-/// in particular — go through [`serving_study`], which never writes, so a
-/// test run can't clobber the committed artifact with off-workload numbers.
-pub fn serving_study_recording(rows: usize, requests: usize, clients: usize) -> ServingStudyResult {
-    serving_study_impl(rows, requests, clients, true)
-}
-
-fn serving_study_impl(
-    rows: usize,
-    requests: usize,
-    clients: usize,
-    write_artifact: bool,
-) -> ServingStudyResult {
     use raven_serve::{Server, ServerConfig};
     use std::sync::Arc;
 
@@ -999,59 +979,6 @@ fn serving_study_impl(
         .report
         .intermediate_materializations;
 
-    // Perf-trajectory artifact for the scoring kernels. Persisted only when
-    // the smoke binary asked for it AND the build is optimized AND the
-    // measurement passes the gates the binary asserts: an unoptimized,
-    // regressing, or test-invoked run must never clobber the committed
-    // artifact with meaningless numbers.
-    let artifact_valid = write_artifact
-        && !cfg!(debug_assertions)
-        && ab.speedup >= SCORING_SPEEDUP_GATE
-        && fab.speedup >= FUSED_PIPELINE_SPEEDUP_GATE
-        && streaming_materializations == STREAMING_MATERIALIZATIONS_GATE;
-    if artifact_valid {
-        let unix_time = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_secs())
-            .unwrap_or(0);
-        let artifact = format!(
-            "{{\n  \"bench\": \"scoring_kernels\",\n  \"workload\": \"{model_name}\",\n  \
-             \"feature_rows\": {},\n  \"trees\": {},\n  \"total_nodes\": {},\n  \
-             \"interpreted_rows_per_sec\": {:.0},\n  \"flattened_rows_per_sec\": {:.0},\n  \
-             \"speedup\": {:.2},\n  \"unfused_pipeline_rows_per_sec\": {:.0},\n  \
-             \"fused_pipeline_rows_per_sec\": {:.0},\n  \"fused_pipeline_speedup\": {:.2},\n  \
-             \"streaming_intermediate_materializations\": {},\n  \
-             \"unix_time\": {unix_time}\n}}\n",
-            ab.rows,
-            ab.trees,
-            ab.total_nodes,
-            ab.interpreted_rows_per_sec,
-            ab.flattened_rows_per_sec,
-            ab.speedup,
-            fab.unfused_rows_per_sec,
-            fab.fused_rows_per_sec,
-            fab.speedup,
-            streaming_materializations,
-        );
-        // anchored at the workspace root so binaries and tests agree on one path
-        let artifact_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scoring.json");
-        if let Err(e) = std::fs::write(artifact_path, &artifact) {
-            eprintln!("warning: could not write BENCH_scoring.json: {e}");
-        }
-    } else if write_artifact {
-        eprintln!(
-            "skipping BENCH_scoring.json: {} (scoring {:.2}x, fused {:.2}x, materializations {})",
-            if cfg!(debug_assertions) {
-                "unoptimized (debug) build"
-            } else {
-                "measurement fails the smoke gates"
-            },
-            ab.speedup,
-            fab.speedup,
-            streaming_materializations,
-        );
-    }
-
     let report = server.report();
 
     println!("| {:<38} | {:>10} |", "configuration", "qps");
@@ -1175,26 +1102,6 @@ pub struct HeavyTrafficResult {
 /// the sequential ground truth, so the A/B also proves fusion changes only
 /// the schedule, never the bytes.
 pub fn heavy_traffic_study(rows: usize, requests: usize, clients: usize) -> HeavyTrafficResult {
-    heavy_traffic_study_impl(rows, requests, clients, false)
-}
-
-/// [`heavy_traffic_study`] for the smoke binary: additionally persists the
-/// `BENCH_serving.json` artifact (optimized builds whose measurements pass
-/// the smoke gates only — a debug or regressing run never clobbers it).
-pub fn heavy_traffic_study_recording(
-    rows: usize,
-    requests: usize,
-    clients: usize,
-) -> HeavyTrafficResult {
-    heavy_traffic_study_impl(rows, requests, clients, true)
-}
-
-fn heavy_traffic_study_impl(
-    rows: usize,
-    requests: usize,
-    clients: usize,
-    write_artifact: bool,
-) -> HeavyTrafficResult {
     use raven_datagen::{tenant_schedule, TenantProfile};
     use raven_serve::{QosConfig, Server, ServerConfig};
     use std::sync::Arc;
@@ -1402,53 +1309,6 @@ fn heavy_traffic_study_impl(
     println!("starvation ratio (worst tenant p99 / overall p99): {starvation_ratio:.2}");
     println!("{report}");
 
-    let artifact_valid = write_artifact
-        && !cfg!(debug_assertions)
-        && fusion_gain >= FUSION_QPS_GATE
-        && fused_p99_ms <= unfused_p99_ms * HEAVY_P99_RATIO_GATE
-        && starvation_ratio <= STARVATION_RATIO_GATE;
-    if artifact_valid {
-        let unix_time = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_secs())
-            .unwrap_or(0);
-        let tenants_json: Vec<String> = tenant_p99_ms
-            .iter()
-            .map(|(name, ms)| format!("{{\"tenant\": \"{name}\", \"p99_ms\": {ms:.3}}}"))
-            .collect();
-        let artifact = format!(
-            "{{\n  \"bench\": \"heavy_serving\",\n  \"rows\": {rows},\n  \
-             \"requests\": {requests},\n  \"clients\": {clients},\n  \
-             \"workers\": {workers},\n  \"unfused_qps\": {unfused_qps:.0},\n  \
-             \"fused_qps\": {fused_qps:.0},\n  \"fusion_gain\": {fusion_gain:.2},\n  \
-             \"unfused_p99_ms\": {unfused_p99_ms:.3},\n  \
-             \"fused_p99_ms\": {fused_p99_ms:.3},\n  \
-             \"queue_wait_p95_us\": {},\n  \"sql_requests_fused\": {},\n  \
-             \"fused_groups\": {},\n  \"fused_group_size_p95\": {},\n  \
-             \"starvation_ratio\": {starvation_ratio:.2},\n  \
-             \"tenants\": [{}],\n  \"unix_time\": {unix_time}\n}}\n",
-            report.queue_wait_p95.as_micros(),
-            report.sql_requests_fused,
-            report.fused_groups,
-            report.fused_group_size_p95,
-            tenants_json.join(", "),
-        );
-        let artifact_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serving.json");
-        if let Err(e) = std::fs::write(artifact_path, &artifact) {
-            eprintln!("warning: could not write BENCH_serving.json: {e}");
-        }
-    } else if write_artifact {
-        eprintln!(
-            "skipping BENCH_serving.json: {} (gain {fusion_gain:.2}x, p99 {fused_p99_ms:.2}ms \
-             vs {unfused_p99_ms:.2}ms, starvation {starvation_ratio:.2})",
-            if cfg!(debug_assertions) {
-                "unoptimized (debug) build"
-            } else {
-                "measurement fails the smoke gates"
-            },
-        );
-    }
-
     HeavyTrafficResult {
         requests,
         clients,
@@ -1472,8 +1332,8 @@ fn heavy_traffic_study_impl(
 pub struct JoinStudyResult {
     /// Fact-table rows.
     pub rows: usize,
-    /// End-to-end time with `RAVEN_JOIN_ORDER=asis` semantics (join order as
-    /// written, build side always the right input), milliseconds.
+    /// End-to-end time with `cost_based_joins` off (join order as written,
+    /// build side always the right input), milliseconds.
     pub asis_ms: f64,
     /// End-to-end time with the cost-based optimizer, milliseconds.
     pub cost_ms: f64,
@@ -1496,28 +1356,9 @@ pub struct JoinStudyResult {
 }
 
 /// Smoke gate for the join study: on the 5-table star the cost-ordered plan
-/// must beat the as-written join order end to end by this factor. Shared by
-/// the smoke binary's assert and the artifact write gate in
-/// [`join_study_recording`] so the two cannot drift.
+/// must beat the as-written join order end to end by this factor. The smoke
+/// binary asserts it.
 pub const JOIN_SPEEDUP_GATE: f64 = 3.0;
-
-/// Join-optimizer study over [`raven_datagen::five_table_star`]: a `sales`
-/// fact table joined against four dimensions declared largest-first, a ~5%
-/// selective filter on the tiny `promotions` dimension, and GB-60 scoring of
-/// the joined rows. As written, every fact row is dragged through the three
-/// wide dimensions before the selective join; the cost-based optimizer joins
-/// promotions first (NDV-containment estimates over the filtered scan) and
-/// builds each hash table on the estimated-smaller side.
-pub fn join_study(rows: usize, runs: usize) -> JoinStudyResult {
-    join_study_impl(rows, runs, false)
-}
-
-/// [`join_study`] for the smoke binary: additionally persists the
-/// `BENCH_joins.json` perf-trajectory artifact (optimized builds whose
-/// measurements pass the smoke gates only).
-pub fn join_study_recording(rows: usize, runs: usize) -> JoinStudyResult {
-    join_study_impl(rows, runs, true)
-}
 
 /// Result rows in canonical order for bitwise comparison: the fact `id` is
 /// unique, so sorting (id, score-bits) pairs is a total order.
@@ -1541,7 +1382,14 @@ fn canonical_scores(batch: &raven_columnar::Batch) -> Vec<(i64, u64)> {
     rows
 }
 
-fn join_study_impl(rows: usize, runs: usize, write_artifact: bool) -> JoinStudyResult {
+/// Join-optimizer study over [`raven_datagen::five_table_star`]: a `sales`
+/// fact table joined against four dimensions declared largest-first, a ~5%
+/// selective filter on the tiny `promotions` dimension, and GB-60 scoring of
+/// the joined rows. As written, every fact row is dragged through the three
+/// wide dimensions before the selective join; the cost-based optimizer joins
+/// promotions first (NDV-containment estimates over the filtered scan) and
+/// builds each hash table on the estimated-smaller side.
+pub fn join_study(rows: usize, runs: usize) -> JoinStudyResult {
     use raven_datagen::five_table_star;
 
     let runs = runs.max(2);
@@ -1563,9 +1411,7 @@ fn join_study_impl(rows: usize, runs: usize, write_artifact: bool) -> JoinStudyR
     scenario.session.config_mut().runtime_policy = RuntimePolicy::NoTransform;
     let query = scenario.query.clone();
 
-    // A/B through the full prepare+execute path via the session knob. The
-    // `RAVEN_JOIN_ORDER` env pin is read once per process, so an in-process
-    // comparison must toggle the programmatic knob instead.
+    // A/B through the full prepare+execute path via the session knob
     let mut run_mode = |cost_based: bool| {
         scenario.session.config_mut().cost_based_joins = cost_based;
         let out = scenario.session.sql(&query).expect("join study query");
@@ -1647,7 +1493,7 @@ fn join_study_impl(rows: usize, runs: usize, write_artifact: bool) -> JoinStudyR
          {joins_pruned_model}"
     );
 
-    let result = JoinStudyResult {
+    JoinStudyResult {
         rows,
         asis_ms,
         cost_ms,
@@ -1657,55 +1503,7 @@ fn join_study_impl(rows: usize, runs: usize, write_artifact: bool) -> JoinStudyR
         cost_build_rows: cost_out.report.join_build_rows,
         joins_full_model,
         joins_pruned_model,
-    };
-
-    // Perf-trajectory artifact, persisted only from the smoke binary on
-    // optimized builds whose measurements pass the gates it asserts.
-    let artifact_valid = write_artifact
-        && !cfg!(debug_assertions)
-        && result.speedup >= JOIN_SPEEDUP_GATE
-        && result.results_identical
-        && result.joins_pruned_model < result.joins_full_model;
-    if artifact_valid {
-        let unix_time = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_secs())
-            .unwrap_or(0);
-        let artifact = format!(
-            "{{\n  \"bench\": \"join_optimizer\",\n  \"workload\": \"five_table_star\",\n  \
-             \"fact_rows\": {},\n  \"asis_ms\": {:.2},\n  \"cost_ms\": {:.2},\n  \
-             \"speedup\": {:.2},\n  \"asis_build_rows\": {},\n  \"cost_build_rows\": {},\n  \
-             \"joins_full_model\": {},\n  \"joins_pruned_model\": {},\n  \
-             \"unix_time\": {unix_time}\n}}\n",
-            result.rows,
-            result.asis_ms,
-            result.cost_ms,
-            result.speedup,
-            result.asis_build_rows,
-            result.cost_build_rows,
-            result.joins_full_model,
-            result.joins_pruned_model,
-        );
-        let artifact_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_joins.json");
-        if let Err(e) = std::fs::write(artifact_path, &artifact) {
-            eprintln!("warning: could not write BENCH_joins.json: {e}");
-        }
-    } else if write_artifact {
-        eprintln!(
-            "skipping BENCH_joins.json: {} (speedup {:.2}x, identical {}, joins {} -> {})",
-            if cfg!(debug_assertions) {
-                "unoptimized (debug) build"
-            } else {
-                "measurement fails the smoke gates"
-            },
-            result.speedup,
-            result.results_identical,
-            result.joins_full_model,
-            result.joins_pruned_model,
-        );
     }
-
-    result
 }
 
 // ---------------------------------------------------------------------------
@@ -2049,8 +1847,7 @@ pub struct DurabilityStudyResult {
 
 /// Smoke gate: a warm restart (snapshot decode + journal replay + plan
 /// pre-warm) must beat the cold rebuild (datagen + training + registration)
-/// by this factor. Shared by the smoke binary's assert and the artifact
-/// write gate in [`durability_study_recording`] so the two cannot drift.
+/// by this factor. The smoke binary asserts it.
 pub const DURABILITY_SPEEDUP_GATE: f64 = 1.5;
 
 /// Child-process mode for the kill-9 crash scenario: open the durable store
@@ -2129,26 +1926,6 @@ pub fn durability_study(
     rows: usize,
     runs: usize,
     crash_exe: Option<&std::path::Path>,
-) -> DurabilityStudyResult {
-    durability_study_impl(rows, runs, crash_exe, false)
-}
-
-/// [`durability_study`] for the smoke binary: additionally persists the
-/// `BENCH_durability.json` perf-trajectory artifact (optimized builds whose
-/// measurements pass the smoke gates only).
-pub fn durability_study_recording(
-    rows: usize,
-    runs: usize,
-    crash_exe: Option<&std::path::Path>,
-) -> DurabilityStudyResult {
-    durability_study_impl(rows, runs, crash_exe, true)
-}
-
-fn durability_study_impl(
-    rows: usize,
-    runs: usize,
-    crash_exe: Option<&std::path::Path>,
-    write_artifact: bool,
 ) -> DurabilityStudyResult {
     use raven_serve::{Server, ServerConfig};
 
@@ -2237,7 +2014,7 @@ fn durability_study_impl(
     );
     let _ = std::fs::remove_dir_all(&base);
 
-    let result = DurabilityStudyResult {
+    DurabilityStudyResult {
         rows,
         cold_ms,
         warm_ms,
@@ -2247,53 +2024,7 @@ fn durability_study_impl(
         prewarmed_plans,
         crash_recovered,
         crash_records_recovered,
-    };
-
-    // Perf-trajectory artifact, persisted only from the smoke binary on
-    // optimized builds whose measurements pass the gates it asserts.
-    let artifact_valid = write_artifact
-        && !cfg!(debug_assertions)
-        && result.speedup >= DURABILITY_SPEEDUP_GATE
-        && result.results_identical
-        && result.crash_recovered;
-    if artifact_valid {
-        let unix_time = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_secs())
-            .unwrap_or(0);
-        let artifact = format!(
-            "{{\n  \"bench\": \"durability\",\n  \"workload\": \"hospital\",\n  \
-             \"rows\": {},\n  \"cold_ms\": {:.2},\n  \"warm_ms\": {:.2},\n  \
-             \"speedup\": {:.2},\n  \"journal_records_replayed\": {},\n  \
-             \"prewarmed_plans\": {},\n  \"crash_records_recovered\": {},\n  \
-             \"unix_time\": {unix_time}\n}}\n",
-            result.rows,
-            result.cold_ms,
-            result.warm_ms,
-            result.speedup,
-            result.journal_records_replayed,
-            result.prewarmed_plans,
-            result.crash_records_recovered,
-        );
-        let artifact_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_durability.json");
-        if let Err(e) = std::fs::write(artifact_path, &artifact) {
-            eprintln!("warning: could not write BENCH_durability.json: {e}");
-        }
-    } else if write_artifact {
-        eprintln!(
-            "skipping BENCH_durability.json: {} (speedup {:.2}x, identical {}, crash ok {})",
-            if cfg!(debug_assertions) {
-                "unoptimized (debug) build"
-            } else {
-                "measurement fails the smoke gates"
-            },
-            result.speedup,
-            result.results_identical,
-            result.crash_recovered,
-        );
     }
-
-    result
 }
 
 // ---------------------------------------------------------------------------
@@ -2341,8 +2072,7 @@ pub struct ChaosStudyResult {
 
 /// Smoke gate: after all faults clear, throughput must be within this factor
 /// of the pre-fault steady state (`steady_qps / post_fault_qps <= gate`).
-/// Shared by the smoke binary's assert and the artifact write gate so the
-/// two cannot drift.
+/// The smoke binary asserts it.
 pub const CHAOS_QPS_RATIO_GATE: f64 = 1.25;
 
 /// Chaos study (the PR 10 tentpole measurement): the mixed-tenant serving
@@ -2359,22 +2089,6 @@ pub const CHAOS_QPS_RATIO_GATE: f64 = 1.25;
 /// harness: the fault-schedule registry is process-global, so replaying it
 /// inside the parallel test binary would inject into unrelated tests.
 pub fn chaos_study(rows: usize, requests: usize, clients: usize) -> ChaosStudyResult {
-    chaos_study_impl(rows, requests, clients, false)
-}
-
-/// [`chaos_study`] for the smoke binary: additionally persists the
-/// `BENCH_chaos.json` artifact (optimized builds whose measurements pass the
-/// smoke gates only).
-pub fn chaos_study_recording(rows: usize, requests: usize, clients: usize) -> ChaosStudyResult {
-    chaos_study_impl(rows, requests, clients, true)
-}
-
-fn chaos_study_impl(
-    rows: usize,
-    requests: usize,
-    clients: usize,
-    write_artifact: bool,
-) -> ChaosStudyResult {
     use raven_columnar::failpoint;
     use raven_datagen::{tenant_schedule, TenantProfile};
     use raven_serve::{QosConfig, ServeError, Server, ServerConfig};
@@ -2697,61 +2411,6 @@ fn chaos_study_impl(
     );
     println!("{report}");
     let _ = std::fs::remove_dir_all(&base);
-
-    let artifact_valid = write_artifact
-        && !cfg!(debug_assertions)
-        && result.qps_ratio <= CHAOS_QPS_RATIO_GATE
-        && result.degraded_entered
-        && result.degraded_exited
-        && result.injected_total > 0
-        && result.oracle_checked > 0;
-    if artifact_valid {
-        let unix_time = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_secs())
-            .unwrap_or(0);
-        let schedules_json: Vec<String> = result
-            .schedules
-            .iter()
-            .map(|s| format!("\"{s}\""))
-            .collect();
-        let artifact = format!(
-            "{{\n  \"bench\": \"chaos\",\n  \"rows\": {rows},\n  \
-             \"requests\": {requests},\n  \"clients\": {clients},\n  \
-             \"steady_qps\": {steady_qps:.0},\n  \
-             \"degraded_qps\": {degraded_qps:.0},\n  \
-             \"post_fault_qps\": {post_fault_qps:.0},\n  \
-             \"qps_ratio\": {qps_ratio:.3},\n  \
-             \"injected_total\": {},\n  \"oracle_checked\": {},\n  \
-             \"typed_errors\": {},\n  \"retries\": {},\n  \
-             \"mutations_rejected\": {},\n  \
-             \"schedules\": [{}],\n  \"unix_time\": {unix_time}\n}}\n",
-            result.injected_total,
-            result.oracle_checked,
-            result.typed_errors,
-            result.retries,
-            result.mutations_rejected,
-            schedules_json.join(", "),
-        );
-        let artifact_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_chaos.json");
-        if let Err(e) = std::fs::write(artifact_path, &artifact) {
-            eprintln!("warning: could not write BENCH_chaos.json: {e}");
-        }
-    } else if write_artifact {
-        eprintln!(
-            "skipping BENCH_chaos.json: {} (qps ratio {:.2}, degraded {}/{}, \
-             {} injected)",
-            if cfg!(debug_assertions) {
-                "unoptimized (debug) build"
-            } else {
-                "measurement fails the smoke gates"
-            },
-            result.qps_ratio,
-            result.degraded_entered,
-            result.degraded_exited,
-            result.injected_total,
-        );
-    }
 
     result
 }

@@ -16,10 +16,13 @@
 //! table (`src/lib.rs`). Adding a knob therefore means adding an accessor
 //! here and documenting it there — the lint makes both mandatory.
 //!
-//! All of these are **pins for parity baselines** (see ROADMAP "Invariants
-//! to preserve"); the corresponding programmatic overrides
-//! (`force_scorer`, `force_fusion`, `force_verify`, ...)
-//! remain the dynamic switches for benches and tests.
+//! None of these selects between a fast path and its parity oracle: every
+//! oracle is an explicit value the caller passes (a bare `Pipeline` to
+//! `MlRuntime::run_batch`, `CompiledPipeline::per_operator`,
+//! `ExecutionContext::selection_vectors`, the cost-based join flags,
+//! `ServerConfig::sql_fusion`). The knobs here size the process, inject
+//! faults or turn on verification; `force_verify` is the dynamic override
+//! of `RAVEN_VERIFY` for tests.
 
 use std::sync::OnceLock;
 
@@ -28,28 +31,6 @@ use std::sync::OnceLock;
 /// their own `OnceLock`.
 fn env_is(name: &str, value: &str) -> bool {
     std::env::var(name).map(|v| v == value) == Ok(true)
-}
-
-/// `RAVEN_JOIN_ORDER=asis` pins the as-written join order (disables
-/// cost-based join reordering and build-side selection) as the parity
-/// baseline. Read once per process.
-pub fn join_order_asis() -> bool {
-    static PIN: OnceLock<bool> = OnceLock::new();
-    *PIN.get_or_init(|| env_is("RAVEN_JOIN_ORDER", "asis"))
-}
-
-/// `RAVEN_SELECTION=materialize` pins the copying `Batch::filter` baseline
-/// instead of zero-copy selection-vector execution. Read once per process.
-pub fn selection_materialize() -> bool {
-    static PIN: OnceLock<bool> = OnceLock::new();
-    *PIN.get_or_init(|| env_is("RAVEN_SELECTION", "materialize"))
-}
-
-/// `RAVEN_SCORER=interpreted` pins the interpreted row-walking scorer
-/// baseline instead of the flattened SoA kernels. Read once per process.
-pub fn scorer_interpreted() -> bool {
-    static PIN: OnceLock<bool> = OnceLock::new();
-    *PIN.get_or_init(|| env_is("RAVEN_SCORER", "interpreted"))
 }
 
 /// `RAVEN_POOL_WORKERS=n` sizes the process-wide worker pool (positive
@@ -63,16 +44,6 @@ pub fn pool_workers() -> Option<usize> {
             .and_then(|s| s.parse::<usize>().ok())
             .filter(|w| *w > 0)
     })
-}
-
-/// `RAVEN_FUSION=off` pins the one-drive-per-request serving baseline
-/// instead of cross-request SQL fusion (identical concurrent requests
-/// sharing a single prepared-plan drive). Read once per process;
-/// `ServerConfig::sql_fusion` is the programmatic override for benches and
-/// tests.
-pub fn fusion_off() -> bool {
-    static PIN: OnceLock<bool> = OnceLock::new();
-    *PIN.get_or_init(|| env_is("RAVEN_FUSION", "off"))
 }
 
 /// `RAVEN_VERIFY=strict` turns on rule-by-rule plan verification and
@@ -139,23 +110,6 @@ mod tests {
     /// change mid-test-process).
     #[test]
     fn accessors_are_stable_and_match_environment() {
-        assert_eq!(
-            join_order_asis(),
-            std::env::var("RAVEN_JOIN_ORDER").map(|v| v == "asis") == Ok(true)
-        );
-        assert_eq!(join_order_asis(), join_order_asis());
-        assert_eq!(
-            selection_materialize(),
-            std::env::var("RAVEN_SELECTION").map(|v| v == "materialize") == Ok(true)
-        );
-        assert_eq!(
-            scorer_interpreted(),
-            std::env::var("RAVEN_SCORER").map(|v| v == "interpreted") == Ok(true)
-        );
-        assert_eq!(
-            fusion_off(),
-            std::env::var("RAVEN_FUSION").map(|v| v == "off") == Ok(true)
-        );
         assert_eq!(
             verify_strict(),
             std::env::var("RAVEN_VERIFY").map(|v| v == "strict") == Ok(true)

@@ -19,12 +19,12 @@ use raven_columnar::{
 use raven_ir::{parse_prediction_query, ModelRegistry, UnifiedPlan};
 use raven_ml::{bind_batch, CompiledPipeline, MlRuntime, Pipeline, RuntimeConfig};
 use raven_relational::{
-    aggregate_items, col, evaluate, evaluate_predicate, evaluate_selected,
-    selection_vectors_default, Catalog, ExecutionContext, Executor, Expr, LogicalPlan, Optimizer,
+    aggregate_items, col, evaluate, evaluate_predicate, evaluate_selected, Catalog,
+    ExecutionContext, Executor, Expr, LogicalPlan, Optimizer,
 };
 use raven_storage::DurableStore;
 use raven_tensor::{Device, Strategy};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -89,10 +89,9 @@ pub struct RavenConfig {
     pub baseline: BaselineMode,
     /// Cost-based multi-join optimization on the data engine: statistics-
     /// driven join reordering at prepare time plus hash-join build-side
-    /// selection at execution time. Defaults to on;
-    /// `RAVEN_JOIN_ORDER=asis` pins the as-written order process-wide as the
-    /// parity baseline. Harnesses toggle this field for in-process A/B runs
-    /// (the env knob is read once per process).
+    /// selection at execution time. Defaults to on; off keeps the
+    /// as-written join order, the parity baseline that harnesses and the
+    /// join-parity tests compare against.
     pub cost_based_joins: bool,
 }
 
@@ -109,7 +108,7 @@ impl Default for RavenConfig {
             device: Device::Cpu,
             dnn_strategy: Strategy::Gemm,
             baseline: BaselineMode::Vectorized,
-            cost_based_joins: raven_relational::cost_based_joins_default(),
+            cost_based_joins: true,
         }
     }
 }
@@ -174,12 +173,12 @@ pub struct ExecutionReport {
     /// Full batch copies performed between pipeline stages (filters
     /// materializing surviving rows). Zero with selection vectors: filters
     /// produce zero-copy selection views and surviving rows are gathered
-    /// exactly once, at the output boundary. Under
-    /// `RAVEN_SELECTION=materialize` every filter's copy is counted here.
+    /// exactly once, at the output boundary. The session always runs
+    /// selection vectors, so this reads zero unless a copy crept back in.
     pub intermediate_materializations: usize,
     /// Rows materialized into hash-join build tables across the data side.
     /// With cost-based build-side selection this is the estimated-smaller
-    /// input of every join; under `RAVEN_JOIN_ORDER=asis` it is always the
+    /// input of every join; with `cost_based_joins` off it is always the
     /// right input as written.
     pub join_build_rows: usize,
     /// Partition batches that probed a join hash table on the data side.
@@ -234,8 +233,7 @@ enum Scorer {
     /// every partition, or — with partition models — one per table
     /// partition, picked by the element's source partition index.
     /// Executions (serving-tier plan-cache hits included) run only the
-    /// kernels compiled at prepare time; `RAVEN_SCORER=interpreted` pins
-    /// the interpreted parity baseline at scoring time.
+    /// kernels compiled at prepare time.
     Compiled(Arc<Vec<CompiledPipeline>>),
     /// MLtoSQL: the pipeline as one relational expression, evaluated on the
     /// selected rows only. It is relational work, charged as data time.
@@ -360,8 +358,7 @@ impl ScoreClock {
 
 /// The per-partition operators after the data side: the scorer, then the
 /// output predicates, then the final projection. A filter refines the
-/// selection, or copies the surviving rows when `selection_vectors` is off,
-/// each copy counted in `copies`. The projection replaces the columns
+/// selection; no row is copied. The projection replaces the columns
 /// row-aligned with the source, so the selection survives it untouched.
 struct ScoringChain {
     scorer: Scorer,
@@ -370,9 +367,7 @@ struct ScoringChain {
     baseline: BaselineMode,
     output_preds: Vec<Expr>,
     projection: Vec<Expr>,
-    selection_vectors: bool,
     clock: ScoreClock,
-    copies: AtomicUsize,
 }
 
 impl ScoringChain {
@@ -386,9 +381,7 @@ impl ScoringChain {
         )?;
         for p in &self.output_preds {
             let mask = evaluate_predicate(p, &item.batch)?;
-            if item.apply_mask(&mask, self.selection_vectors)? {
-                self.copies.fetch_add(1, Ordering::Relaxed);
-            }
+            item.refine_selection(&mask)?;
         }
         if !self.projection.is_empty() {
             let mut columns = Vec::with_capacity(self.projection.len());
@@ -875,9 +868,7 @@ impl RavenSession {
             baseline: self.config.baseline,
             output_preds: plan.output_predicates().into_iter().cloned().collect(),
             projection: plan.projection.clone(),
-            selection_vectors: ctx.selection_vectors,
             clock: ScoreClock::default(),
-            copies: AtomicUsize::new(0),
         });
         let mut items = stream
             .map({
@@ -942,8 +933,7 @@ impl RavenSession {
             ml_time_modeled,
             pruned_partitions: metrics.partitions_pruned(),
             streamed_partitions: metrics.partitions_scanned(),
-            intermediate_materializations: metrics.intermediate_materializations()
-                + chain.copies.load(Ordering::Relaxed),
+            intermediate_materializations: metrics.intermediate_materializations(),
             join_build_rows: metrics.join_build_rows(),
             join_probe_batches: metrics.join_probe_batches(),
         };
@@ -1052,14 +1042,14 @@ impl RavenSession {
 
     /// The execution context handed to the relational engine. Statistics
     /// partition pruning is data-induced compute pruning (§4.2), so it
-    /// follows `enable_data_induced`; selection vectors follow only the
-    /// `RAVEN_SELECTION` pin.
+    /// follows `enable_data_induced`; filters always produce selection
+    /// vectors.
     fn execution_context(&self) -> ExecutionContext {
         ExecutionContext {
             degree_of_parallelism: self.config.degree_of_parallelism.max(1),
             batch_size: self.config.ml_runtime.batch_size.max(1),
             partition_pruning: self.config.enable_data_induced,
-            selection_vectors: selection_vectors_default(),
+            selection_vectors: true,
             cost_based_build_side: self.config.cost_based_joins,
         }
     }

@@ -10,9 +10,9 @@
 //! arena flattening, lane-program resolution, category-table construction)
 //! happens at prepare time, and every execution runs only the tight
 //! block-at-a-time kernels. The interpreted operator graph remains
-//! available as the parity baseline (`RAVEN_SCORER=interpreted` /
-//! [`crate::ops::force_scorer`]), and the per-operator compiled path as the
-//! fusion baseline ([`crate::kernels::force_fusion`]).
+//! available as the parity baseline (`MlRuntime::run_batch` over the bare
+//! [`Pipeline`]), and the per-operator compiled path as the fusion baseline
+//! ([`CompiledPipeline::per_operator`]).
 
 use crate::error::Result;
 use crate::kernels::FusedPipeline;
@@ -76,6 +76,16 @@ impl CompiledPipeline {
     /// The fused featurize→score pass, when the pipeline's shape fused.
     pub fn fused(&self) -> Option<&Arc<FusedPipeline>> {
         self.fused.as_ref()
+    }
+
+    /// The same pipeline and flattened scorers without the fused pass, so
+    /// scoring takes the per-operator path (featurizers interpreted, tree
+    /// nodes on the flat kernels): the fusion A/B baseline.
+    pub fn per_operator(&self) -> CompiledPipeline {
+        CompiledPipeline {
+            fused: None,
+            ..self.clone()
+        }
     }
 
     /// How many nodes have a compiled kernel.

@@ -33,8 +33,9 @@
 //! by other models, categorical values consumed as numerics, …) simply
 //! don't fuse: `FusedPipeline::compile` returns `None` and the runtime
 //! falls back to the per-operator path with flat tree kernels — which
-//! also remains the A/B baseline via [`force_fusion`]. The
-//! `RAVEN_SCORER=interpreted` oracle disables both tiers.
+//! also remains the A/B baseline via
+//! [`crate::CompiledPipeline::per_operator`]. `MlRuntime::run_batch` over
+//! the bare pipeline is the interpreted oracle for both tiers.
 
 use crate::error::{MlError, Result};
 use crate::ops::featurizer::CategoryTable;
@@ -43,36 +44,7 @@ use crate::ops::{FlatEnsemble, Operator, BLOCK};
 use crate::pipeline::{InputKind, Pipeline};
 use raven_columnar::{Batch, Column, ColumnarError};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
-
-// ---------------------------------------------------------------------------
-// fusion-mode selection (fused by default, per-operator path as the baseline)
-// ---------------------------------------------------------------------------
-
-/// 0 = no override (fused when compiled), 2 = force the per-operator PR 4
-/// baseline (interpreted featurizers + flat tree kernels).
-static FORCE_FUSION: AtomicU8 = AtomicU8::new(0);
-
-/// Programmatically pin whether compiled fused pipelines are used (benches
-/// A/B the fused pass against the per-operator baseline with this). `None`
-/// restores the default (fused whenever compilation succeeded). The
-/// `RAVEN_SCORER=interpreted` oracle overrides both — it pins the fully
-/// interpreted graph.
-pub fn force_fusion(enabled: Option<bool>) {
-    FORCE_FUSION.store(
-        match enabled {
-            None | Some(true) => 0,
-            Some(false) => 2,
-        },
-        Ordering::SeqCst,
-    );
-}
-
-/// Whether fused pipelines are currently in use (given one compiled).
-pub fn fusion_active() -> bool {
-    FORCE_FUSION.load(Ordering::SeqCst) != 2
-}
 
 // ---------------------------------------------------------------------------
 // compiled form
@@ -1289,14 +1261,5 @@ mod tests {
         for (r, g) in got.iter().enumerate() {
             assert_eq!(expected.get(r, 0).to_bits(), g.to_bits(), "row {r}");
         }
-    }
-
-    #[test]
-    fn force_fusion_toggle() {
-        assert!(fusion_active());
-        force_fusion(Some(false));
-        assert!(!fusion_active());
-        force_fusion(None);
-        assert!(fusion_active());
     }
 }

@@ -12,8 +12,9 @@
 //! validated pipeline with flattened tree arenas ([`FlatEnsemble`]) and —
 //! whenever the shape allows — the fully fused featurize→score pass
 //! ([`FusedPipeline`], see [`kernels`]). The interpreted operator graph
-//! survives as the parity oracle (`RAVEN_SCORER=interpreted`) and the
-//! per-operator compiled path as the fusion baseline ([`force_fusion`]).
+//! survives as the parity oracle ([`MlRuntime::run_batch`] over the bare
+//! [`Pipeline`]) and the per-operator compiled path as the fusion baseline
+//! ([`CompiledPipeline::per_operator`]).
 
 pub mod builder;
 pub mod compiled;
@@ -29,12 +30,12 @@ pub use builder::{train_pipeline, ModelType, PipelineSpec};
 pub use compiled::CompiledPipeline;
 pub use error::{MlError, Result};
 pub use frame::{FrameValue, Matrix, StringMatrix};
-pub use kernels::{force_fusion, fusion_active, FusedPipeline};
+pub use kernels::FusedPipeline;
 pub use ops::{
-    force_scorer, format_numeric_category, scorer_mode, sigmoid, Binarizer, CategoryTable,
-    ConstantNode, EnsembleKind, FeatureExtractor, FlatEnsemble, Imputer, LabelEncoder,
-    LinearRegressionModel, LinearSvmModel, LogisticRegressionModel, Norm, Normalizer,
-    OneHotEncoder, Operator, OperatorCategory, Scaler, ScorerMode, Tree, TreeEnsemble, TreeNode,
+    format_numeric_category, sigmoid, Binarizer, CategoryTable, ConstantNode, EnsembleKind,
+    FeatureExtractor, FlatEnsemble, Imputer, LabelEncoder, LinearRegressionModel, LinearSvmModel,
+    LogisticRegressionModel, Norm, Normalizer, OneHotEncoder, Operator, OperatorCategory, Scaler,
+    Tree, TreeEnsemble, TreeNode,
 };
 pub use pipeline::{InputKind, Pipeline, PipelineInput, PipelineNode};
 pub use runtime::{

@@ -39,15 +39,14 @@
 //! bit), and the same ensemble combination (`mean`, `sigmoid(base + lr·Σ)`,
 //! …) — the parity proptests in `tests/scoring_parity.rs` pin this.
 //!
-//! The interpreted path survives as the parity baseline: set
-//! `RAVEN_SCORER=interpreted` (or [`force_scorer`]) to make every runtime
-//! scoring call ignore compiled kernels.
+//! The interpreted path survives as the parity baseline:
+//! `MlRuntime::run_batch` over a bare `Pipeline` walks the operator graph
+//! with no compiled kernel.
 
 use crate::error::{MlError, Result};
 use crate::frame::Matrix;
 use crate::ops::linear::sigmoid;
 use crate::ops::tree::{EnsembleKind, TreeEnsemble, TreeNode};
-use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Rows scored per block. 64 keeps each per-feature scratch lane at one
 /// 512-byte run (8 cache lines, so the whole transposed block stays
@@ -772,54 +771,6 @@ impl FlatEnsemble {
     }
 }
 
-// ---------------------------------------------------------------------------
-// scorer-mode selection (flattened by default, interpreted as the baseline)
-// ---------------------------------------------------------------------------
-
-/// Which tree-scoring kernel the runtime uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScorerMode {
-    /// Compiled struct-of-arrays kernels (the default).
-    Flattened,
-    /// The row-at-a-time interpreted walker (parity / A-B baseline).
-    Interpreted,
-}
-
-/// 0 = no override, 1 = force flattened, 2 = force interpreted.
-static FORCE_SCORER: AtomicU8 = AtomicU8::new(0);
-
-/// Programmatically pin the scorer mode (benches A/B the kernels with this),
-/// overriding `RAVEN_SCORER`. `None` restores env-driven selection.
-pub fn force_scorer(mode: Option<ScorerMode>) {
-    FORCE_SCORER.store(
-        match mode {
-            None => 0,
-            Some(ScorerMode::Flattened) => 1,
-            Some(ScorerMode::Interpreted) => 2,
-        },
-        Ordering::SeqCst,
-    );
-}
-
-/// The scorer mode in effect: [`force_scorer`] override first, then the
-/// `RAVEN_SCORER` environment variable (`interpreted` selects the baseline),
-/// defaulting to [`ScorerMode::Flattened`]. The env variable is read once —
-/// this is called per scoring invocation on the serving hot path, which must
-/// not take the process-wide environment lock ([`force_scorer`] remains the
-/// dynamic override for benches and tests).
-pub fn scorer_mode() -> ScorerMode {
-    match FORCE_SCORER.load(Ordering::SeqCst) {
-        1 => return ScorerMode::Flattened,
-        2 => return ScorerMode::Interpreted,
-        _ => {}
-    }
-    if raven_columnar::envcfg::scorer_interpreted() {
-        ScorerMode::Interpreted
-    } else {
-        ScorerMode::Flattened
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -976,14 +927,5 @@ mod tests {
         let narrow = Matrix::from_columns(&[vec![1.0]]).unwrap();
         assert!(flat.predict(&narrow).is_err());
         assert!(ens.predict(&narrow).is_err());
-    }
-
-    #[test]
-    fn scorer_mode_override() {
-        force_scorer(Some(ScorerMode::Interpreted));
-        assert_eq!(scorer_mode(), ScorerMode::Interpreted);
-        force_scorer(Some(ScorerMode::Flattened));
-        assert_eq!(scorer_mode(), ScorerMode::Flattened);
-        force_scorer(None);
     }
 }

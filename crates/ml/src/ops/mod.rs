@@ -10,7 +10,7 @@ pub use featurizer::{
     concat, format_numeric_category, Binarizer, CategoryTable, ConstantNode, FeatureExtractor,
     Imputer, LabelEncoder, Norm, Normalizer, OneHotEncoder, Scaler,
 };
-pub use flat::{force_scorer, scorer_mode, FlatEnsemble, ScorerMode, BLOCK};
+pub use flat::{FlatEnsemble, BLOCK};
 pub use linear::{sigmoid, LinearRegressionModel, LinearSvmModel, LogisticRegressionModel};
 pub use tree::{EnsembleKind, Tree, TreeEnsemble, TreeNode};
 

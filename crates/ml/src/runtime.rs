@@ -8,8 +8,8 @@
 use crate::compiled::CompiledPipeline;
 use crate::error::{MlError, Result};
 use crate::frame::{FrameValue, Matrix, StringMatrix};
-use crate::kernels::{fusion_active, FusedPipeline};
-use crate::ops::{format_numeric_category, scorer_mode, FlatEnsemble, Operator, ScorerMode};
+use crate::kernels::FusedPipeline;
+use crate::ops::{format_numeric_category, FlatEnsemble, Operator};
 use crate::pipeline::{InputKind, Pipeline};
 use raven_columnar::{Batch, Column, ColumnarError, DataType, Field, SelectionVector};
 use std::collections::HashMap;
@@ -77,46 +77,26 @@ impl MlRuntime {
 
     /// Evaluate a pipeline over a relational batch, binding pipeline inputs to
     /// batch columns by name. Large batches are processed in chunks of
-    /// `batch_size` rows like the paper's vectorized UDF.
+    /// `batch_size` rows like the paper's vectorized UDF. Every operator is
+    /// interpreted, with no compiled kernel: this is the parity oracle for
+    /// [`MlRuntime::run_batch_compiled`].
     pub fn run_batch(&self, pipeline: &Pipeline, batch: &Batch) -> Result<Vec<f64>> {
         self.chunked_scores(pipeline, batch, None)
     }
 
     /// [`MlRuntime::run_batch`] over a [`CompiledPipeline`]: identical
-    /// semantics, but tree-ensemble nodes run the flattened block-at-a-time
-    /// kernels (unless the scorer mode pins the interpreted baseline).
+    /// semantics, but the fused featurize→score pass runs when the pipeline
+    /// fused, and tree-ensemble nodes run the flattened block-at-a-time
+    /// kernels when it did not.
     pub fn run_batch_compiled(
         &self,
         compiled: &CompiledPipeline,
         batch: &Batch,
     ) -> Result<Vec<f64>> {
-        if let Some(fused) = self.fused_of(compiled) {
+        if let Some(fused) = compiled.fused() {
             return self.fused_scores(fused, batch, None);
         }
-        self.chunked_scores(compiled.pipeline(), batch, self.flat_of(compiled))
-    }
-
-    /// The flattened scorers to use under the current [`ScorerMode`] (`None`
-    /// pins the interpreted operator graph).
-    fn flat_of<'c>(
-        &self,
-        compiled: &'c CompiledPipeline,
-    ) -> Option<&'c HashMap<String, Arc<FlatEnsemble>>> {
-        match scorer_mode() {
-            ScorerMode::Flattened => Some(compiled.flat_scorers()),
-            ScorerMode::Interpreted => None,
-        }
-    }
-
-    /// The fused featurize→score pass to use, honoring both the scorer-mode
-    /// oracle (`RAVEN_SCORER=interpreted` disables every compiled kernel)
-    /// and the fusion A/B override ([`crate::kernels::force_fusion`] pins
-    /// the per-operator PR 4 baseline).
-    fn fused_of<'c>(&self, compiled: &'c CompiledPipeline) -> Option<&'c Arc<FusedPipeline>> {
-        if scorer_mode() == ScorerMode::Interpreted || !fusion_active() {
-            return None;
-        }
-        compiled.fused()
+        self.chunked_scores(compiled.pipeline(), batch, Some(compiled.flat_scorers()))
     }
 
     /// Score a batch (or its selected rows) through the fused pipeline: one
@@ -171,17 +151,31 @@ impl MlRuntime {
             .map_err(MlError::from)?;
         for chunk in chunks {
             let inputs = bind_batch(pipeline, &chunk)?;
-            let out = self.evaluate_graph(pipeline, &inputs, chunk.num_rows(), flat)?;
-            let m = out.as_numeric()?;
-            if m.cols() != 1 {
-                return Err(MlError::ShapeMismatch(format!(
-                    "pipeline output has {} columns, expected 1",
-                    m.cols()
-                )));
-            }
-            scores.extend_from_slice(m.data());
+            self.score_chunk(pipeline, &inputs, chunk.num_rows(), flat, &mut scores)?;
         }
         Ok(scores)
+    }
+
+    /// Evaluate the graph over one bound chunk and append its single output
+    /// column to `out`.
+    fn score_chunk(
+        &self,
+        pipeline: &Pipeline,
+        inputs: &HashMap<String, FrameValue>,
+        rows: usize,
+        flat: Option<&HashMap<String, Arc<FlatEnsemble>>>,
+        out: &mut Vec<f64>,
+    ) -> Result<()> {
+        let value = self.evaluate_graph(pipeline, inputs, rows, flat)?;
+        let m = value.as_numeric()?;
+        if m.cols() != 1 {
+            return Err(MlError::ShapeMismatch(format!(
+                "pipeline output has {} columns, expected 1",
+                m.cols()
+            )));
+        }
+        out.extend_from_slice(m.data());
+        Ok(())
     }
 
     /// Score only the **selected** rows of a batch and append the scores as a
@@ -200,35 +194,23 @@ impl MlRuntime {
         selection: Option<&SelectionVector>,
         score_column: &str,
     ) -> Result<Batch> {
-        let pipeline = compiled.pipeline();
         let scores = match selection.and_then(|s| s.indices()) {
             None => self.run_batch_compiled(compiled, batch)?,
-            Some(indices) if self.fused_of(compiled).is_some() => {
-                // fused gather: selected rows are read straight from the
-                // source columns into feature lanes, scores scatter back
-                let fused = self.fused_of(compiled).expect("checked above");
-                let packed = self.fused_scores(fused, batch, Some(indices))?;
-                let mut full = vec![f64::NAN; batch.num_rows()];
-                for (&row, &score) in indices.iter().zip(packed.iter()) {
-                    full[row as usize] = score;
-                }
-                full
-            }
             Some(indices) => {
-                let flat = self.flat_of(compiled);
-                let mut packed = Vec::with_capacity(indices.len());
-                for chunk in indices.chunks(self.config.batch_size.max(1)) {
-                    let inputs = bind_batch_gather(pipeline, batch, chunk)?;
-                    let out = self.evaluate_graph(pipeline, &inputs, chunk.len(), flat)?;
-                    let m = out.as_numeric()?;
-                    if m.cols() != 1 {
-                        return Err(MlError::ShapeMismatch(format!(
-                            "pipeline output has {} columns, expected 1",
-                            m.cols()
-                        )));
+                let packed = if let Some(fused) = compiled.fused() {
+                    // fused gather: selected rows are read straight from the
+                    // source columns into feature lanes
+                    self.fused_scores(fused, batch, Some(indices))?
+                } else {
+                    let pipeline = compiled.pipeline();
+                    let mut packed = Vec::with_capacity(indices.len());
+                    for chunk in indices.chunks(self.config.batch_size.max(1)) {
+                        let inputs = bind_batch_gather(pipeline, batch, chunk)?;
+                        let flat = Some(compiled.flat_scorers());
+                        self.score_chunk(pipeline, &inputs, chunk.len(), flat, &mut packed)?;
                     }
-                    packed.extend_from_slice(m.data());
-                }
+                    packed
+                };
                 // scatter the packed scores back to source-row positions
                 let mut full = vec![f64::NAN; batch.num_rows()];
                 for (&row, &score) in indices.iter().zip(packed.iter()) {

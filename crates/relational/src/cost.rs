@@ -23,18 +23,6 @@ const DEFAULT_SELECTIVITY: f64 = 0.25;
 /// Assumed row count for tables missing from the catalog.
 const DEFAULT_TABLE_ROWS: f64 = 1_000.0;
 
-/// The process-wide default for cost-based join planning (logical join
-/// reordering and physical build-side selection): on, unless
-/// `RAVEN_JOIN_ORDER=asis` pins the as-written join order as the parity
-/// baseline (mirroring the `RAVEN_SCORER` / `RAVEN_SELECTION` conventions).
-/// The env variable is read once via the central
-/// [`raven_columnar::envcfg`] registry — this runs per optimizer/execution-
-/// context construction on the serving hot path, which must not take the
-/// process-wide environment lock.
-pub fn cost_based_joins_default() -> bool {
-    !raven_columnar::envcfg::join_order_asis()
-}
-
 /// Cardinality estimator over catalog statistics.
 #[derive(Debug, Clone, Copy)]
 pub struct CostModel<'a> {
@@ -327,13 +315,5 @@ mod tests {
         let s = explain_with_estimates(&plan, &c);
         assert!(s.contains("Join: dim_id = dim_id rows≈1000"), "{s}");
         assert!(s.contains("Scan: dim rows≈10"), "{s}");
-    }
-
-    #[test]
-    fn default_mode_is_cost_based_unless_pinned() {
-        // the env var is read once per process through the envcfg registry;
-        // the test only checks the default mirrors the cached pin
-        let pinned = raven_columnar::envcfg::join_order_asis();
-        assert_eq!(cost_based_joins_default(), !pinned);
     }
 }

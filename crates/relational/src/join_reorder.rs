@@ -7,7 +7,7 @@
 //! and rebuilds the region left-deep in that order.
 //!
 //! Two invariants make the rewrite a drop-in replacement for the as-written
-//! plan (`RAVEN_JOIN_ORDER=asis` pins the baseline):
+//! plan (`OptimizerOptions::join_reordering = false` keeps the baseline):
 //!
 //! * **Row order.** The as-written leftmost leaf stays the probe root, so the
 //!   output row order follows the same driving relation; with unique build

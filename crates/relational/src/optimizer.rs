@@ -28,9 +28,8 @@ pub struct OptimizerOptions {
     pub constant_folding: bool,
     /// Reorder multi-way equi-join regions smallest-intermediate-first using
     /// the statistics-driven [`crate::cost::CostModel`] (exhaustive DP for
-    /// ≤ 6 joined relations, greedy beyond). Defaults to on;
-    /// `RAVEN_JOIN_ORDER=asis` pins the as-written order as the parity
-    /// baseline. Runs after join elimination so model-projection pruning can
+    /// ≤ 6 joined relations, greedy beyond). Defaults to on; off keeps the
+    /// as-written order, the parity baseline. Runs after join elimination so model-projection pruning can
     /// drop whole dimension joins before the order search sees them.
     pub join_reordering: bool,
 }
@@ -42,7 +41,7 @@ impl Default for OptimizerOptions {
             predicate_pushdown: true,
             join_elimination: true,
             constant_folding: true,
-            join_reordering: crate::cost::cost_based_joins_default(),
+            join_reordering: true,
         }
     }
 }

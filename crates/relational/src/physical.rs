@@ -44,16 +44,16 @@ pub struct ExecutionContext {
     pub partition_pruning: bool,
     /// Filters produce zero-copy [`SelectionVector`] views that downstream
     /// kernels consume; rows are gathered once at the final output boundary.
-    /// When disabled (`RAVEN_SELECTION=materialize`, the measured baseline),
-    /// every filter deep-copies the surviving rows via `Batch::filter`, and
+    /// When disabled (the copying reference the filter-parity tests compare
+    /// against), every filter deep-copies the surviving rows via `Batch::filter`, and
     /// each copy is counted in
     /// [`ExecutionMetrics::intermediate_materializations`].
     pub selection_vectors: bool,
     /// Hash joins build on the estimated-smaller input (per the
     /// [`crate::cost::CostModel`]) instead of always on the right, and
     /// pre-size their hash table from build-side NDV statistics. When
-    /// disabled (`RAVEN_JOIN_ORDER=asis`, the parity baseline), the right
-    /// input is always the build side, as written.
+    /// disabled (the as-written parity baseline), the right input is always
+    /// the build side, as written.
     pub cost_based_build_side: bool,
 }
 
@@ -63,21 +63,10 @@ impl Default for ExecutionContext {
             degree_of_parallelism: 1,
             batch_size: 10_000,
             partition_pruning: true,
-            selection_vectors: selection_vectors_default(),
-            cost_based_build_side: crate::cost::cost_based_joins_default(),
+            selection_vectors: true,
+            cost_based_build_side: true,
         }
     }
-}
-
-/// The process-wide default for selection-vector execution: on, unless
-/// `RAVEN_SELECTION=materialize` pins the copying baseline (mirroring the
-/// `RAVEN_SCORER=interpreted` convention). The env
-/// variable is read once via the central [`raven_columnar::envcfg`] registry —
-/// this runs per execution-context construction on the serving hot path,
-/// which must not take the process-wide environment lock (same rationale as
-/// `raven_ml`'s `scorer_mode`).
-pub fn selection_vectors_default() -> bool {
-    !raven_columnar::envcfg::selection_materialize()
 }
 
 impl ExecutionContext {

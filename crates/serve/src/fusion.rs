@@ -21,8 +21,8 @@
 //! (write-lock) can only land before or after the fused drive — never
 //! between two members — so a fused group cannot span an epoch change.
 //!
-//! `RAVEN_FUSION=off` (or `ServerConfig::sql_fusion = false`) pins the
-//! one-drive-per-request oracle the parity suites compare against.
+//! `ServerConfig::sql_fusion = false` is the one-drive-per-request oracle
+//! the parity suites compare against.
 
 use crate::error::Result;
 use crate::qos::QosQueue;

@@ -26,7 +26,7 @@
 //!   columnar [`raven_columnar::Batch`] per tick, and queued SQL requests
 //!   with the same canonical fingerprint are **fused** — one worker drives
 //!   the prepared plan once and fans the `Arc`-shared result out to every
-//!   member ([`crate::fusion`]; `RAVEN_FUSION=off` pins the
+//!   member ([`crate::fusion`]; `ServerConfig::sql_fusion = false` is the
 //!   one-drive-per-request oracle). The partition-parallel work inside each
 //!   execution runs on the process-wide work-stealing pool
 //!   (`raven_columnar::pool`) in *parked-drive* mode: the serving worker

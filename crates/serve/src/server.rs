@@ -105,8 +105,9 @@ pub struct ServerConfig {
     /// snapshot + journal compaction (0 disables automatic compaction).
     pub compaction_threshold: usize,
     /// Cross-request SQL fusion: queued SQL requests with the same canonical
-    /// fingerprint share one drive per scheduler tick. Defaults to on unless
-    /// `RAVEN_FUSION=off` pins the one-drive-per-request oracle.
+    /// fingerprint share one drive per scheduler tick. Defaults to on; off is
+    /// the one-drive-per-request oracle the serving parity tests compare
+    /// against.
     pub sql_fusion: bool,
     /// Maximum requests one fused SQL drive may serve (1 disables fusion at
     /// the tick level even when `sql_fusion` is on).
@@ -149,7 +150,7 @@ impl Default for ServerConfig {
             data_dir: None,
             prewarm_plans: 16,
             compaction_threshold: 512,
-            sql_fusion: !raven_columnar::envcfg::fusion_off(),
+            sql_fusion: true,
             fusion_max_group: 64,
             qos: QosConfig::default(),
             request_deadline: raven_columnar::envcfg::request_deadline_ms()

@@ -596,9 +596,6 @@ fn queued_duplicates_fuse_onto_one_drive() {
             // micro-batch below, guaranteeing the SQL duplicates queue up
             // behind it and fuse on the next tick even on a loaded machine
             micro_batch_wait: Duration::from_millis(2_000),
-            // force fusion on so this test still tests it when the suite
-            // runs under the RAVEN_FUSION=off oracle pass
-            sql_fusion: true,
             ..Default::default()
         },
     );
@@ -634,7 +631,7 @@ fn queued_duplicates_fuse_onto_one_drive() {
     assert!(report.fused_group_size_p95 >= 3, "{report}");
 }
 
-/// `sql_fusion: false` (the `RAVEN_FUSION=off` oracle) pins one drive per
+/// `sql_fusion: false` (the one-drive-per-request oracle) pins one drive per
 /// request: same scenario as above, but nothing fuses.
 #[test]
 fn fusion_off_pins_one_drive_per_request() {

@@ -80,8 +80,9 @@
 //!   therefore perform **zero intermediate batch materializations**,
 //!   observable via `relational::ExecutionMetrics::
 //!   intermediate_materializations` and `core::ExecutionReport`; the
-//!   copying `Batch::filter` baseline survives under
-//!   `RAVEN_SELECTION=materialize`.
+//!   copying `Batch::filter` baseline survives as
+//!   `relational::ExecutionContext::selection_vectors = false`, the
+//!   reference the filter-parity tests compare against.
 //! * **Flattened tree scoring.** Preparing a statement compiles every tree
 //!   ensemble into `ml::FlatEnsemble` (via `ml::CompiledPipeline`):
 //!   struct-of-arrays arenas with feature indices and child pointers
@@ -94,9 +95,10 @@
 //!   traversals in flight. Selected rows are gathered straight from source
 //!   columns into the runtime (zero-copy filter→score) and scores scatter
 //!   back as one full-length column. Bit-identical to the interpreted
-//!   walker (`tests/scoring_parity.rs`); `RAVEN_SCORER=interpreted` pins
-//!   the baseline, and the `serving_study` smoke asserts ≥ 3× single-core
-//!   scoring throughput on the GB-60 workload (`BENCH_scoring.json`).
+//!   walker (`tests/scoring_parity.rs`), whose oracle is
+//!   `ml::MlRuntime::run_batch` over the bare pipeline; the `serving_study`
+//!   smoke asserts ≥ 3× single-core scoring throughput on the GB-60
+//!   workload.
 //! * **Fused featurization (PR 5).** `ml::CompiledPipeline` additionally
 //!   compiles the whole featurize→score pass into one kernel
 //!   (`ml::FusedPipeline`) whenever the pipeline's shape allows: the
@@ -109,7 +111,7 @@
 //!   place — tree ensembles via the flat walker, linear models via a dense
 //!   lane-major dot kernel. No intermediate `Matrix` exists per operator.
 //!   The per-operator compiled path survives as the A/B baseline
-//!   (`ml::force_fusion`); measured ≈ 5× end-to-end prepared scoring on
+//!   (`ml::CompiledPipeline::per_operator`); measured ≈ 5× end-to-end prepared scoring on
 //!   the one-hot + scaler → GB-60 workload (gate ≥ 1.5× in
 //!   `serving_study`).
 //! * **Fused expression kernels.** `relational::eval` evaluates predicates
@@ -135,10 +137,10 @@
 //!   physical hash join picks its **build side** by estimated size
 //!   (pre-sizing the table from row/NDV stats and reusing key scratch across
 //!   batches), observable as `ExecutionReport::join_build_rows` /
-//!   `join_probe_batches`. `RAVEN_JOIN_ORDER=asis` pins the as-written
-//!   parity oracle (same knob family as `RAVEN_SCORER`), and
-//!   `RavenConfig::cost_based_joins` toggles it per session for in-process
-//!   A/B; `tests/join_parity.rs` proptests both modes bitwise-identical.
+//!   `join_probe_batches`. `RavenConfig::cost_based_joins = false` is the
+//!   as-written parity oracle, per session; `tests/join_parity.rs`
+//!   proptests both modes bitwise-identical, and the streaming parity
+//!   matrix runs its join queries in both.
 //! * **Model-awareness.** Cross-optimizations run *before* join planning:
 //!   model-projection pushdown (`core::cross_opt`) drops pipeline inputs the
 //!   model never consumes, and PK-FK join elimination then removes dimension
@@ -165,8 +167,7 @@
 //! The `join_study` smoke (`datagen::five_table_star`, dimensions declared
 //! largest-first with a ~5% filter on the tiny `promotions` dimension)
 //! asserts the cost-based order ≥ 3× the as-written order end to end,
-//! bitwise-identical results, and the pruned-model join elimination
-//! (`BENCH_joins.json`).
+//! bitwise-identical results, and the pruned-model join elimination.
 //!
 //! ## Architecture: the prediction-serving layer
 //!
@@ -212,8 +213,8 @@
 //!   before or after a group, never inside it, so fusion is
 //!   bitwise-identical to one-drive-per-request by construction
 //!   (`tests/serving_parity.rs` proptests this across worker counts,
-//!   duplicate shares, and a churning writer). `RAVEN_FUSION=off` (or
-//!   `ServerConfig::sql_fusion = false`) pins the unfused oracle;
+//!   duplicate shares, and a churning writer). `ServerConfig::sql_fusion =
+//!   false` is the unfused oracle;
 //!   `ServingReport::{sql_requests_fused, fused_groups,
 //!   fused_group_size_p95}` make fusion observable.
 //! * **Parked drives** (`columnar::pool::with_parked_drive`). A serving
@@ -239,8 +240,7 @@
 //! The `heavy_serving` smoke (100 mixed-tenant clients, duplicate-heavy
 //! schedule from `datagen::tenant_schedule`) gates fusion ≥ 2× the unfused
 //! oracle's QPS, fused p99 ≤ 1.25× unfused, and worst-tenant p99 ≤ 4× the
-//! overall p99 (`BENCH_serving.json`; measured ≈3×, 16.8 ms vs 40.6 ms,
-//! starvation ratio ≈1).
+//! overall p99 (measured ≈3×, 16.8 ms vs 40.6 ms, starvation ratio ≈1).
 //!
 //! ## Architecture: the durable catalog
 //!
@@ -368,11 +368,7 @@
 //!
 //! | Variable | Effect |
 //! |---|---|
-//! | `RAVEN_SCORER=interpreted` | Pin the interpreted tree walker (A/B baseline for `ml::FlatEnsemble`). |
-//! | `RAVEN_SELECTION=materialize` | Pin copying `Batch::filter` instead of zero-copy selection vectors. |
 //! | `RAVEN_POOL_WORKERS=<n>` | Size the shared worker pool (default: machine parallelism). |
-//! | `RAVEN_JOIN_ORDER=asis` | Pin as-written join order (disable the cost-based join optimizer). |
-//! | `RAVEN_FUSION=off` | Pin one-drive-per-request serving (disable cross-request SQL fusion). |
 //! | `RAVEN_DATA_DIR=<path>` | Durable-catalog data directory fallback when `ServerConfig::data_dir` is unset (uncached: read per `open_durable`). |
 //! | `RAVEN_VERIFY=strict` | Enable the plan/artifact verifier in release builds (always on in debug). |
 //! | `RAVEN_FAULTS=<schedule>` | Install a seeded fault-injection schedule (e.g. `seed=7;storage.journal.sync=3+fail*2`); unset = failpoints are inert single atomic loads. |

@@ -1,7 +1,7 @@
 //! Property-based parity tests for the cost-based join optimizer (PR 6):
 //! random 2–5-table join plans must produce bitwise-identical results under
-//! the as-written order (`RAVEN_JOIN_ORDER=asis` semantics: no reordering, no
-//! build-side selection) and the cost-based order, including row multiplicity
+//! the as-written order (`join_reordering` and `cost_based_build_side` off:
+//! no reordering, no build-side selection) and the cost-based order, including row multiplicity
 //! under duplicate keys and NaN float join keys, and the `Optimizer` must
 //! preserve the plan's output schema.
 //!

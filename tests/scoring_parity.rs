@@ -10,10 +10,7 @@
 
 use proptest::prelude::*;
 use raven_columnar::TableBuilder;
-use raven_ml::{
-    force_fusion, force_scorer, EnsembleKind, FlatEnsemble, Matrix, ScorerMode, Tree, TreeEnsemble,
-    TreeNode,
-};
+use raven_ml::{EnsembleKind, FlatEnsemble, Matrix, Tree, TreeEnsemble, TreeNode};
 use raven_relational::{col, lit, ExecutionContext, Executor, LogicalPlan};
 
 mod common;
@@ -196,8 +193,8 @@ proptest! {
     /// binarizer chains, one-hot and label encoders over string-, integer-
     /// and float-sourced categorical columns with unknown and NaN
     /// categories), empty batches, all three linear models, and tree
-    /// ensembles — and the AVX2 SIMD tier agrees with the scalar groups on
-    /// the same corpus.
+    /// ensembles. The oracle is `run_batch` over the bare pipeline; the
+    /// per-operator path (`CompiledPipeline::per_operator`) must match too.
     #[test]
     fn fused_featurize_score_is_bit_identical(
         seed in 0u64..0xffff_ffff,
@@ -392,13 +389,9 @@ proptest! {
         prop_assert!(compiled.fused().is_some(), "stack should fuse");
         let rt = MlRuntime::new();
         // oracle: fully interpreted operator graph
-        force_scorer(Some(ScorerMode::Interpreted));
-        let interpreted = rt.run_batch_compiled(&compiled, &batch);
-        force_scorer(None);
+        let interpreted = rt.run_batch(&pipeline, &batch);
         // PR 4 baseline: per-operator featurizers + flat tree kernels
-        force_fusion(Some(false));
-        let per_op = rt.run_batch_compiled(&compiled, &batch);
-        force_fusion(None);
+        let per_op = rt.run_batch_compiled(&compiled.per_operator(), &batch);
         // PR 5: the fused pass
         let fused = rt.run_batch_compiled(&compiled, &batch);
         let interpreted = interpreted.unwrap();
@@ -419,14 +412,16 @@ proptest! {
         }
     }
 
-    /// End-to-end: a full prediction query scores identically under the
-    /// flattened and interpreted scorer modes (the serving-path parity the
-    /// `RAVEN_SCORER=interpreted` baseline pins in CI).
+    /// End-to-end: a full prediction query with an input and an output
+    /// predicate returns exactly the rows and scores of the interpreted
+    /// oracle — `MlRuntime::run_batch` over the unoptimized pipeline on the
+    /// filtered rows — and copies no batch mid-pipeline.
     #[test]
-    fn session_scores_identically_under_both_scorer_modes(
+    fn session_scores_identically_to_the_interpreted_oracle(
         rows in 20usize..120,
         seed in 0u64..500,
         threshold in 20.0f64..90.0,
+        score_cut in 0.0f64..1.0,
     ) {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -466,33 +461,44 @@ proptest! {
             "score",
         )
         .unwrap();
+
+        // the oracle: filter on age, score every survivor by walking the
+        // operator graph, then keep the rows whose score passes the cut
+        let batch = table.to_batch().unwrap();
+        let ages = batch.column_by_name("age").unwrap();
+        let mask: Vec<bool> = ages.as_f64().unwrap().iter().map(|a| *a >= threshold).collect();
+        let survivors = batch.filter(&mask).unwrap();
+        let scores = raven_ml::MlRuntime::new().run_batch(&pipeline, &survivors).unwrap();
+        let ids = survivors.column_by_name("id").unwrap();
+        let expected: Vec<(i64, u64)> = ids
+            .as_i64()
+            .unwrap()
+            .iter()
+            .zip(&scores)
+            .filter(|(_, s)| **s > score_cut)
+            .map(|(id, s)| (*id, s.to_bits()))
+            .collect();
+
         let mut session = raven_core::RavenSession::new();
         session.register_table(table);
         session.register_model(pipeline);
         session.config_mut().runtime_policy = raven_core::RuntimePolicy::NoTransform;
         let query = format!(
             "SELECT d.id, p.score FROM PREDICT(MODEL = risk_model, DATA = patients AS d) \
-             WITH (score float) AS p WHERE d.age >= {threshold}"
+             WITH (score float) AS p WHERE d.age >= {threshold} AND p.score > {score_cut}"
         );
-        force_scorer(Some(ScorerMode::Flattened));
-        let flattened = session.sql(&query);
-        force_scorer(Some(ScorerMode::Interpreted));
-        let interpreted = session.sql(&query);
-        force_scorer(None);
-        let (flattened, interpreted) = (flattened.unwrap(), interpreted.unwrap());
-        prop_assert_eq!(flattened.batch.num_rows(), interpreted.batch.num_rows());
-        let fa = flattened.batch.column_by_name("score").unwrap();
-        let ia = interpreted.batch.column_by_name("score").unwrap();
-        for (a, b) in fa.as_f64().unwrap().iter().zip(ia.as_f64().unwrap()) {
-            prop_assert_eq!(a.to_bits(), b.to_bits());
-        }
-        // the flattened streaming run performed zero intermediate copies
-        // (unless RAVEN_SELECTION=materialize pinned the copying baseline)
-        if raven_relational::selection_vectors_default() {
-            prop_assert_eq!(flattened.report.intermediate_materializations, 0);
-        } else {
-            prop_assert!(flattened.report.intermediate_materializations > 0);
-        }
+        let out = session.sql(&query).unwrap();
+        let ids = out.batch.column_by_name("id").unwrap();
+        let scores = out.batch.column_by_name("score").unwrap();
+        let got: Vec<(i64, u64)> = ids
+            .as_i64()
+            .unwrap()
+            .iter()
+            .zip(scores.as_f64().unwrap())
+            .map(|(id, s)| (*id, s.to_bits()))
+            .collect();
+        prop_assert_eq!(got, expected);
+        prop_assert_eq!(out.report.intermediate_materializations, 0);
     }
 }
 

@@ -590,7 +590,7 @@ fn engine(session: &RavenSession) -> (Optimizer, ExecutionContext) {
         degree_of_parallelism: config.degree_of_parallelism.max(1),
         batch_size: config.ml_runtime.batch_size.max(1),
         partition_pruning: config.enable_data_induced,
-        selection_vectors: raven_relational::selection_vectors_default(),
+        selection_vectors: true,
         cost_based_build_side: config.cost_based_joins,
     };
     (optimizer, ctx)
@@ -689,65 +689,97 @@ fn ml_to_dnn_reference(session: &RavenSession, plan: &UnifiedPlan) -> Batch {
 /// the pre-scorer execution paths for MLtoSQL and MLtoDNN (CPU).
 fn assert_parity_matrix(source: Source) {
     let mut session = matrix_session();
-    let data = match source {
-        Source::Unpartitioned => session.catalog().table("visits").unwrap().to_batch(),
-        Source::RangePartitioned => session.catalog().table("visits_ranged").unwrap().to_batch(),
-        Source::Join => Executor::new()
-            .execute(
-                &LogicalPlan::scan("visits_ranged").join(
-                    LogicalPlan::scan("wards"),
-                    "ward",
-                    "ward_key",
-                ),
-                session.catalog(),
-                &ExecutionContext {
-                    partition_pruning: false,
-                    ..ExecutionContext::default()
-                },
-            )
-            .map_err(|e| raven_columnar::ColumnarError::Execution(e.to_string())),
-    }
-    .unwrap();
-    for inputs in 0..=2 {
-        for output in [false, true] {
-            for aggregate in [Aggregate::None, Aggregate::Global, Aggregate::GroupBy] {
-                let query = matrix_query(source, inputs, output);
-                let mut plan =
-                    raven_ir::parse_prediction_query(&query, session.registry(), session.catalog())
-                        .unwrap();
-                set_aggregate(&mut plan, aggregate);
-                let materialized = result_bits(&materialized_reference(&data, &plan), aggregate);
-                assert!(!materialized.is_empty(), "{query}");
-                for dop in test_dops() {
-                    for data_induced in [false, true] {
-                        session.config_mut().degree_of_parallelism = dop;
-                        session.config_mut().enable_data_induced = data_induced;
-                        for choice in [
-                            TransformChoice::None,
-                            TransformChoice::MlToSql,
-                            TransformChoice::MlToDnn,
-                        ] {
-                            session.config_mut().runtime_policy = RuntimePolicy::Force(choice);
-                            let out = session.execute(&plan).unwrap();
-                            assert!(!out.report.transform_fallback, "{choice:?}: {query}");
-                            let expected = match choice {
-                                TransformChoice::None => materialized.clone(),
-                                TransformChoice::MlToSql => {
-                                    result_bits(&ml_to_sql_reference(&session, &plan), aggregate)
-                                }
-                                TransformChoice::MlToDnn => {
-                                    result_bits(&ml_to_dnn_reference(&session, &plan), aggregate)
-                                }
-                            };
-                            assert_eq!(
-                                result_bits(&out.batch, aggregate),
-                                expected,
-                                "{choice:?}, {aggregate:?}, dop {dop}, pruning {data_induced}: \
-                                 {query}"
-                            );
-                        }
-                    }
+    // the join source also runs with cost-based join planning off (the
+    // as-written order and build side), its reference built the same way
+    let cost_settings: &[bool] = match source {
+        Source::Join => &[true, false],
+        _ => &[true],
+    };
+    for &cost_based in cost_settings {
+        session.config_mut().cost_based_joins = cost_based;
+        let data = match source {
+            Source::Unpartitioned => session.catalog().table("visits").unwrap().to_batch(),
+            Source::RangePartitioned => {
+                session.catalog().table("visits_ranged").unwrap().to_batch()
+            }
+            Source::Join => Executor::new()
+                .execute(
+                    &LogicalPlan::scan("visits_ranged").join(
+                        LogicalPlan::scan("wards"),
+                        "ward",
+                        "ward_key",
+                    ),
+                    session.catalog(),
+                    &ExecutionContext {
+                        partition_pruning: false,
+                        cost_based_build_side: cost_based,
+                        ..ExecutionContext::default()
+                    },
+                )
+                .map_err(|e| raven_columnar::ColumnarError::Execution(e.to_string())),
+        }
+        .unwrap();
+        for inputs in 0..=2 {
+            for output in [false, true] {
+                for aggregate in [Aggregate::None, Aggregate::Global, Aggregate::GroupBy] {
+                    assert_clause_combination(
+                        &mut session,
+                        &data,
+                        source,
+                        inputs,
+                        output,
+                        aggregate,
+                    );
                 }
+            }
+        }
+    }
+}
+
+/// One clause combination of [`assert_parity_matrix`] under every scorer,
+/// test dop and pruning setting.
+fn assert_clause_combination(
+    session: &mut RavenSession,
+    data: &Batch,
+    source: Source,
+    inputs: usize,
+    output: bool,
+    aggregate: Aggregate,
+) {
+    let query = matrix_query(source, inputs, output);
+    let mut plan =
+        raven_ir::parse_prediction_query(&query, session.registry(), session.catalog()).unwrap();
+    set_aggregate(&mut plan, aggregate);
+    let materialized = result_bits(&materialized_reference(data, &plan), aggregate);
+    assert!(!materialized.is_empty(), "{query}");
+    let cost_based = session.config().cost_based_joins;
+    for dop in test_dops() {
+        for data_induced in [false, true] {
+            session.config_mut().degree_of_parallelism = dop;
+            session.config_mut().enable_data_induced = data_induced;
+            for choice in [
+                TransformChoice::None,
+                TransformChoice::MlToSql,
+                TransformChoice::MlToDnn,
+            ] {
+                session.config_mut().runtime_policy = RuntimePolicy::Force(choice);
+                let out = session.execute(&plan).unwrap();
+                assert!(!out.report.transform_fallback, "{choice:?}: {query}");
+                let expected = match choice {
+                    TransformChoice::None => materialized.clone(),
+                    TransformChoice::MlToSql => {
+                        result_bits(&ml_to_sql_reference(session, &plan), aggregate)
+                    }
+                    TransformChoice::MlToDnn => {
+                        result_bits(&ml_to_dnn_reference(session, &plan), aggregate)
+                    }
+                };
+                assert_eq!(
+                    result_bits(&out.batch, aggregate),
+                    expected,
+                    "{choice:?}, {aggregate:?}, dop {dop}, pruning {data_induced}, \
+                     cost-based joins {cost_based}: {query}"
+                );
             }
         }
     }
