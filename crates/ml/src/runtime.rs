@@ -203,10 +203,10 @@ impl MlRuntime {
                     self.fused_scores(fused, batch, Some(indices))?
                 } else {
                     let pipeline = compiled.pipeline();
+                    let flat = Some(compiled.flat_scorers());
                     let mut packed = Vec::with_capacity(indices.len());
                     for chunk in indices.chunks(self.config.batch_size.max(1)) {
                         let inputs = bind_batch_gather(pipeline, batch, chunk)?;
-                        let flat = Some(compiled.flat_scorers());
                         self.score_chunk(pipeline, &inputs, chunk.len(), flat, &mut packed)?;
                     }
                     packed

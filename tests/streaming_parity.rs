@@ -684,13 +684,14 @@ fn ml_to_dnn_reference(session: &RavenSession, plan: &UnifiedPlan) -> Batch {
 /// Every clause combination over `source` — input predicate none / one /
 /// two conjuncts, output predicate none / `p.risk > 0.3`, aggregate none /
 /// global / `GROUP BY` — under every scorer, at every test dop, with
-/// statistics pruning on and off, returns bitwise the result of that
+/// statistics pruning on and off — and, for the join source, with
+/// cost-based join planning on and off — returns bitwise the result of that
 /// scorer's reference: the materialized reference for the ML runtime, and
-/// the pre-scorer execution paths for MLtoSQL and MLtoDNN (CPU).
+/// the pre-scorer execution paths for MLtoSQL and MLtoDNN (CPU). The join
+/// reference is built under the same join setting: the build-side swap
+/// permutes rows, and a floating-point aggregate depends on row order.
 fn assert_parity_matrix(source: Source) {
     let mut session = matrix_session();
-    // the join source also runs with cost-based join planning off (the
-    // as-written order and build side), its reference built the same way
     let cost_settings: &[bool] = match source {
         Source::Join => &[true, false],
         _ => &[true],
