@@ -33,11 +33,11 @@ pub mod value;
 pub use column::{Column, ColumnRef};
 pub use error::{ColumnarError, Result};
 pub use hash::{fast_hash, FastMap};
-pub use partition::{partition_by_column, partition_ranges, partition_sizes, PartitionSpec};
+pub use partition::{partition_by_column, partition_sizes, PartitionSpec};
 pub use pool::{parallel_map, WorkerPool};
 pub use schema::{Field, Schema, SchemaRef};
 pub use selection::{SelectionIter, SelectionVector};
-pub use stats::{ColumnStatistics, InducedDomain, TableStatistics};
+pub use stats::{ColumnStatistics, Interval, TableStatistics};
 pub use stream::{BatchStream, StreamBatch, StreamOp};
 pub use table::{Batch, Table, TableBuilder};
 pub use value::{DataType, Value};

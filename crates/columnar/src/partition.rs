@@ -136,19 +136,6 @@ pub fn same_key_multiset(original: &Table, partitioned: &Table, key: &str) -> Re
     Ok(collect(original)? == collect(partitioned)?)
 }
 
-/// Returns per-partition (min, max) for a numeric column, used by harnesses to
-/// demonstrate data-induced predicates.
-pub fn partition_ranges(table: &Table, column: &str) -> Result<Vec<(f64, f64)>> {
-    let mut out = Vec::with_capacity(table.partitions().len());
-    for stats in table.partition_statistics() {
-        let cs = stats
-            .column(column)
-            .ok_or_else(|| ColumnarError::ColumnNotFound(column.to_string()))?;
-        out.push(cs.numeric_range().unwrap_or((f64::NAN, f64::NAN)));
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -196,7 +183,11 @@ mod tests {
         .unwrap();
         assert!(p.partitions().len() <= 2);
         assert_eq!(p.num_rows(), 6);
-        let ranges = partition_ranges(&p, "age").unwrap();
+        let ranges: Vec<(f64, f64)> = p
+            .partition_statistics()
+            .iter()
+            .map(|s| s.column("age").unwrap().numeric_range().unwrap())
+            .collect();
         // ranges must be disjoint and ordered by construction of equal-width buckets
         assert!(ranges[0].1 <= ranges[ranges.len() - 1].0 + 1e-9 || ranges.len() == 1);
     }

@@ -6,7 +6,7 @@
 
 use crate::column::Column;
 use crate::error::Result;
-use crate::value::{DataType, Value};
+use crate::value::Value;
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
@@ -137,6 +137,18 @@ impl ColumnStatistics {
         Some((min, max))
     }
 
+    /// The interval these statistics bound the column to: `[min, max]`,
+    /// NaN admitted iff the column has missing values. `None` when the
+    /// column has no numeric range (empty, all-missing or Utf8).
+    pub fn interval(&self) -> Option<Interval> {
+        let (lo, hi) = self.numeric_range()?;
+        Some(Interval {
+            lo,
+            hi,
+            may_be_nan: self.null_count > 0,
+        })
+    }
+
     /// Whether the column holds a single constant value across the covered rows.
     pub fn is_constant(&self) -> bool {
         self.distinct_count == 1 && self.null_count == 0
@@ -150,23 +162,6 @@ impl ColumnStatistics {
             return None;
         }
         Some(1.0 / self.distinct_count as f64)
-    }
-
-    /// Estimated fraction of rows falling in `[lo, hi]`, interpolated
-    /// uniformly over the column's `[min, max]` range. `None` when the column
-    /// has no numeric range. Either bound may be infinite (one-sided
-    /// comparisons).
-    pub fn range_fraction(&self, lo: f64, hi: f64) -> Option<f64> {
-        let (min, max) = self.numeric_range()?;
-        if hi < lo || hi < min || lo > max {
-            return Some(0.0);
-        }
-        if max <= min {
-            // constant column: the range either covers the value or not
-            return Some(1.0);
-        }
-        let covered = hi.min(max) - lo.max(min);
-        Some((covered / (max - min)).clamp(0.0, 1.0))
     }
 
     /// Merge statistics of two partitions of the same column.
@@ -201,6 +196,61 @@ impl ColumnStatistics {
             distinct_count: self.distinct_count.max(other.distinct_count),
             row_count: self.row_count + other.row_count,
         }
+    }
+}
+
+/// A closed interval `[lo, hi]` a column's (or a model feature's) values lie
+/// in, plus whether the in-band missing marker NaN may occur too. It is the
+/// one value domain behind partition pruning, predicate-based and
+/// data-induced model pruning and range selectivity (paper §4.1–§4.2). An
+/// interval with `lo > hi` admits no number; NaN alone may remain.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Interval {
+    pub lo: f64,
+    pub hi: f64,
+    pub may_be_nan: bool,
+}
+
+impl Interval {
+    /// Every value, NaN included: the domain of an unconstrained column.
+    pub const UNBOUNDED: Interval = Interval {
+        lo: f64::NEG_INFINITY,
+        hi: f64::INFINITY,
+        may_be_nan: true,
+    };
+
+    /// The values both intervals admit.
+    pub fn intersect(self, other: Interval) -> Interval {
+        Interval {
+            lo: self.lo.max(other.lo),
+            hi: self.hi.min(other.hi),
+            may_be_nan: self.may_be_nan && other.may_be_nan,
+        }
+    }
+
+    /// Whether the interval admits no value at all, NaN included.
+    pub fn is_empty(&self) -> bool {
+        self.lo > self.hi && !self.may_be_nan
+    }
+
+    /// Estimated fraction of a column bounded by `self` whose values fall in
+    /// `range`, interpolated uniformly over `[lo, hi]` (the classical
+    /// uniformity assumption). Either end of `range` may be infinite
+    /// (one-sided comparisons); a `range` admitting NaN counts no NaN row.
+    pub fn fraction(&self, range: Interval) -> f64 {
+        let covered = Interval {
+            may_be_nan: false,
+            ..range
+        }
+        .intersect(*self);
+        if covered.is_empty() {
+            return 0.0;
+        }
+        if self.hi <= self.lo {
+            // constant column: the range either covers the value or not
+            return 1.0;
+        }
+        ((covered.hi - covered.lo) / (self.hi - self.lo)).clamp(0.0, 1.0)
     }
 }
 
@@ -249,43 +299,6 @@ impl TableStatistics {
     }
 }
 
-/// Helper describing the value domain a statistics object implies for a
-/// column; data-induced optimization consumes this.
-#[derive(Debug, Clone, PartialEq)]
-pub enum InducedDomain {
-    /// Numeric column constrained to `[min, max]`.
-    Range { min: f64, max: f64 },
-    /// Column known to hold exactly one value.
-    Constant(Value),
-    /// No useful constraint (e.g. all-missing or string with many values).
-    Unconstrained,
-}
-
-impl ColumnStatistics {
-    /// The domain induced by these statistics, used to generate data-induced
-    /// predicates (paper §4.2).
-    pub fn induced_domain(&self) -> InducedDomain {
-        if self.is_constant() {
-            if let Some(min) = &self.min {
-                return InducedDomain::Constant(min.clone());
-            }
-        }
-        match (self.min.as_ref(), self.max.as_ref()) {
-            (Some(min), Some(max)) => {
-                if min.data_type() == Some(DataType::Utf8) {
-                    InducedDomain::Unconstrained
-                } else {
-                    match (min.as_f64(), max.as_f64()) {
-                        (Some(lo), Some(hi)) => InducedDomain::Range { min: lo, max: hi },
-                        _ => InducedDomain::Unconstrained,
-                    }
-                }
-            }
-            _ => InducedDomain::Unconstrained,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -296,6 +309,14 @@ mod tests {
         let s = ColumnStatistics::compute("x", &c).unwrap();
         assert_eq!(s.null_count, 1);
         assert_eq!(s.numeric_range(), Some((1.0, 3.0)));
+        assert_eq!(
+            s.interval(),
+            Some(Interval {
+                lo: 1.0,
+                hi: 3.0,
+                may_be_nan: true
+            })
+        );
         assert_eq!(s.distinct_count, 3);
         assert_eq!(s.row_count, 4);
     }
@@ -315,7 +336,14 @@ mod tests {
         let c = Column::Int64(vec![1, 1, 1]);
         let s = ColumnStatistics::compute("flag", &c).unwrap();
         assert!(s.is_constant());
-        assert_eq!(s.induced_domain(), InducedDomain::Constant(Value::Int64(1)));
+        assert_eq!(
+            s.interval(),
+            Some(Interval {
+                lo: 1.0,
+                hi: 1.0,
+                may_be_nan: false
+            })
+        );
     }
 
     #[test]
@@ -325,7 +353,7 @@ mod tests {
         assert_eq!(s.null_count, 1);
         assert_eq!(s.min, Some(Value::Utf8("a".into())));
         assert_eq!(s.max, Some(Value::Utf8("b".into())));
-        assert_eq!(s.induced_domain(), InducedDomain::Unconstrained);
+        assert_eq!(s.interval(), None);
     }
 
     #[test]
@@ -342,7 +370,7 @@ mod tests {
         let s = ColumnStatistics::compute("x", &c).unwrap();
         assert_eq!(s.min, None);
         assert_eq!(s.numeric_range(), None);
-        assert_eq!(s.induced_domain(), InducedDomain::Unconstrained);
+        assert_eq!(s.interval(), None);
     }
 
     #[test]
@@ -375,19 +403,53 @@ mod tests {
     fn selectivity_helpers() {
         let s = ColumnStatistics::compute("x", &Column::Float64(vec![0.0, 10.0, 5.0])).unwrap();
         assert_eq!(s.equality_selectivity(), Some(1.0 / 3.0));
-        assert_eq!(s.range_fraction(0.0, 5.0), Some(0.5));
-        assert_eq!(s.range_fraction(f64::NEG_INFINITY, 2.5), Some(0.25));
-        assert_eq!(s.range_fraction(8.0, f64::INFINITY), Some(0.2));
-        assert_eq!(s.range_fraction(20.0, 30.0), Some(0.0));
-        assert_eq!(s.range_fraction(-10.0, 30.0), Some(1.0));
+        let x = s.interval().unwrap();
+        let range = |lo, hi| Interval {
+            lo,
+            hi,
+            may_be_nan: false,
+        };
+        assert_eq!(x.fraction(range(0.0, 5.0)), 0.5);
+        assert_eq!(x.fraction(range(f64::NEG_INFINITY, 2.5)), 0.25);
+        assert_eq!(x.fraction(range(8.0, f64::INFINITY)), 0.2);
+        assert_eq!(x.fraction(range(20.0, 30.0)), 0.0);
+        assert_eq!(x.fraction(range(-10.0, 30.0)), 1.0);
+        // NaN in the range never counts rows: the estimate is the same
+        assert_eq!(x.fraction(Interval::UNBOUNDED), 1.0);
 
         let constant = ColumnStatistics::compute("c", &Column::Int64(vec![7, 7])).unwrap();
-        assert_eq!(constant.range_fraction(0.0, 10.0), Some(1.0));
-        assert_eq!(constant.range_fraction(8.0, 10.0), Some(0.0));
+        let c = constant.interval().unwrap();
+        assert_eq!(c.fraction(range(0.0, 10.0)), 1.0);
+        assert_eq!(c.fraction(range(8.0, 10.0)), 0.0);
 
         let empty = ColumnStatistics::compute("e", &Column::Float64(vec![])).unwrap();
         assert_eq!(empty.equality_selectivity(), None);
-        assert_eq!(empty.range_fraction(0.0, 1.0), None);
+        assert_eq!(empty.interval(), None);
+    }
+
+    #[test]
+    fn interval_intersect_keeps_nan_only_when_both_admit_it() {
+        let stats = Interval {
+            lo: 0.0,
+            hi: 10.0,
+            may_be_nan: true,
+        };
+        let both = stats.intersect(Interval::UNBOUNDED);
+        assert_eq!(both, stats);
+        let half = Interval {
+            lo: f64::NEG_INFINITY,
+            hi: -1.0,
+            may_be_nan: false,
+        };
+        let none = stats.intersect(half);
+        assert!(none.lo > none.hi && none.is_empty());
+        // an empty numeric range that still admits NaN is not empty
+        assert!(!stats
+            .intersect(Interval {
+                may_be_nan: true,
+                ..half
+            })
+            .is_empty());
     }
 
     #[test]
@@ -395,11 +457,12 @@ mod tests {
         let c = Column::Float64(vec![10.0, 20.0]);
         let s = ColumnStatistics::compute("age", &c).unwrap();
         assert_eq!(
-            s.induced_domain(),
-            InducedDomain::Range {
-                min: 10.0,
-                max: 20.0
-            }
+            s.interval(),
+            Some(Interval {
+                lo: 10.0,
+                hi: 20.0,
+                may_be_nan: false
+            })
         );
     }
 }

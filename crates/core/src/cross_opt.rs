@@ -2,10 +2,11 @@
 //! (data-to-model) and model-projection pushdown (model-to-data).
 
 use crate::error::Result;
-use crate::layout::{FeatureLayout, InputMapping};
+use crate::layout::FeatureLayout;
+use raven_columnar::Interval;
 use raven_ir::UnifiedPlan;
-use raven_ml::{format_numeric_category, Operator};
-use raven_relational::{BinaryOp, Expr};
+use raven_ml::{Operator, Pipeline};
+use raven_relational::ColumnBox;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// What a cross-optimization pass did, for reporting and tests.
@@ -28,188 +29,97 @@ pub struct CrossOptReport {
 // Predicate-based model pruning
 // ---------------------------------------------------------------------------
 
-/// Per-feature value domain derived from query predicates.
-type Domains = BTreeMap<usize, (f64, f64)>;
-
-/// Derive per-feature domains implied by the query's input-side predicates,
-/// pushing constants through scalers and one-hot encoders (paper §4.1 Step 2).
-pub fn derive_domains_from_predicates(predicates: &[&Expr], layout: &FeatureLayout) -> Domains {
-    let mut domains: Domains = BTreeMap::new();
-    for predicate in predicates {
-        let Some((column, op, value)) = predicate.as_column_literal_comparison() else {
-            continue;
-        };
-        let Some(mapping) = layout.input(column) else {
-            continue;
-        };
-        match mapping {
-            InputMapping::Affine {
-                feature,
-                offset,
-                scale,
-            } => {
-                let Some(v) = value.as_f64() else { continue };
-                let t = (v - offset) * scale;
-                apply_numeric_domain(&mut domains, *feature, op, t, *scale < 0.0);
-            }
-            InputMapping::Identity { feature } => {
-                let Some(v) = value.as_f64() else { continue };
-                apply_numeric_domain(&mut domains, *feature, op, v, false);
-            }
-            InputMapping::OneHot {
-                features,
-                categories,
-            } => {
-                // Only equality predicates give exact one-hot constants.
-                if op != BinaryOp::Eq {
-                    continue;
-                }
-                let cat = match value {
-                    raven_columnar::Value::Utf8(s) => s.clone(),
-                    other => other
-                        .as_f64()
-                        .map(format_numeric_category)
-                        .unwrap_or_default(),
-                };
-                for (i, feature) in features.iter().enumerate() {
-                    let v = if categories.get(i).map(|c| c == &cat).unwrap_or(false) {
-                        1.0
-                    } else {
-                        0.0
-                    };
-                    intersect(&mut domains, *feature, v, v);
-                }
-            }
-            InputMapping::Opaque { .. } => {}
-        }
-    }
-    domains
+/// The pipeline's model operator, for in-place rewriting.
+fn model_op(pipeline: &mut Pipeline) -> Option<&mut Operator> {
+    let name = pipeline.model_node()?.name.clone();
+    pipeline
+        .nodes
+        .iter_mut()
+        .find(|n| n.name == name)
+        .map(|n| &mut n.op)
 }
 
-fn apply_numeric_domain(
-    domains: &mut Domains,
-    feature: usize,
-    op: BinaryOp,
-    t: f64,
-    flipped: bool,
-) {
-    // When the affine scale is negative the inequality direction flips.
-    let op = if flipped {
-        match op {
-            BinaryOp::Lt => BinaryOp::Gt,
-            BinaryOp::LtEq => BinaryOp::GtEq,
-            BinaryOp::Gt => BinaryOp::Lt,
-            BinaryOp::GtEq => BinaryOp::LtEq,
-            other => other,
-        }
-    } else {
-        op
+/// Prune the pipeline's tree-ensemble model with a feature box: every branch
+/// the box decides goes (paper §4.1–§4.2). Shared by predicate-based pruning
+/// and both data-induced passes. Returns whether the model shrank.
+pub(crate) fn prune_model(pipeline: &mut Pipeline, features: &BTreeMap<usize, Interval>) -> bool {
+    if features.is_empty() {
+        return false;
+    }
+    let Some(Operator::TreeEnsemble(ensemble)) = model_op(pipeline) else {
+        return false;
     };
-    match op {
-        BinaryOp::Eq => intersect(domains, feature, t, t),
-        BinaryOp::Lt | BinaryOp::LtEq => intersect(domains, feature, f64::NEG_INFINITY, t),
-        BinaryOp::Gt | BinaryOp::GtEq => intersect(domains, feature, t, f64::INFINITY),
-        _ => {}
+    let pruned = ensemble.prune_with_domains(features);
+    let shrank = pruned.total_nodes() < ensemble.total_nodes();
+    if shrank {
+        *ensemble = pruned;
     }
-}
-
-fn intersect(domains: &mut Domains, feature: usize, lo: f64, hi: f64) {
-    let entry = domains
-        .entry(feature)
-        .or_insert((f64::NEG_INFINITY, f64::INFINITY));
-    entry.0 = entry.0.max(lo);
-    entry.1 = entry.1.min(hi);
+    shrank
 }
 
 /// Apply predicate-based model pruning to the plan's pipeline, using the
 /// query's input-side predicates (on data columns) and output-side predicates
 /// (on the prediction). Returns whether anything changed.
 pub fn predicate_based_model_pruning(plan: &mut UnifiedPlan) -> Result<bool> {
-    let layout = match FeatureLayout::analyze(&plan.pipeline) {
-        Ok(l) => l,
-        Err(_) => return Ok(false),
+    let Ok(layout) = FeatureLayout::analyze(&plan.pipeline) else {
+        return Ok(false);
     };
-    let input_preds = plan
-        .input_predicates()
-        .into_iter()
-        .cloned()
-        .collect::<Vec<_>>();
-    let pred_refs: Vec<&Expr> = input_preds.iter().collect();
-    let domains = derive_domains_from_predicates(&pred_refs, &layout);
-
-    let mut changed = false;
-    let model_node_name = match plan.pipeline.model_node() {
-        Some(n) => n.name.clone(),
-        None => return Ok(false),
-    };
-    // clone out, modify, write back
-    let mut nodes = plan.pipeline.nodes.clone();
-    for node in nodes.iter_mut().filter(|n| n.name == model_node_name) {
-        match &mut node.op {
-            Operator::TreeEnsemble(ensemble) => {
-                if !domains.is_empty() {
-                    let pruned = ensemble.prune_with_domains(&domains);
-                    if pruned.total_nodes() < ensemble.total_nodes() {
-                        *ensemble = pruned;
-                        changed = true;
-                    }
-                }
-                // Output-side predicate pruning for single trees: keep only
-                // paths to leaves that can satisfy the predicate; other rows
-                // are filtered out by the query's post-filter anyway.
-                if ensemble.trees.len() == 1 && ensemble.kind.is_classifier() {
-                    if let Some(threshold) = output_score_threshold(plan) {
-                        let tree = &ensemble.trees[0];
-                        let pruned = tree
-                            .prune_by_output(&|v| v >= threshold, f64::NEG_INFINITY)
-                            .compact();
-                        if pruned.node_count() < tree.node_count() {
-                            ensemble.trees[0] = pruned;
-                            changed = true;
-                        }
-                    }
+    let features = layout.feature_box(&ColumnBox::from_conjuncts(plan.input_predicates()));
+    let threshold = output_score_threshold(plan);
+    let mut changed = prune_model(&mut plan.pipeline, &features);
+    match model_op(&mut plan.pipeline) {
+        // Output-side predicate pruning for single trees: keep only paths to
+        // leaves that can satisfy the predicate; other rows are filtered out
+        // by the query's post-filter anyway.
+        Some(Operator::TreeEnsemble(ensemble))
+            if ensemble.trees.len() == 1 && ensemble.kind.is_classifier() =>
+        {
+            if let Some(threshold) = threshold {
+                let tree = &ensemble.trees[0];
+                let pruned = tree
+                    .prune_by_output(&|v| v >= threshold, f64::NEG_INFINITY)
+                    .compact();
+                if pruned.node_count() < tree.node_count() {
+                    ensemble.trees[0] = pruned;
+                    changed = true;
                 }
             }
-            Operator::LogisticRegression(model) => {
-                for (&feature, &(lo, hi)) in &domains {
-                    if lo == hi && feature < model.n_features() {
-                        *model = model.fold_constant(feature, lo)?;
-                        changed = true;
-                    }
-                }
-            }
-            Operator::LinearRegression(model) => {
-                for (&feature, &(lo, hi)) in &domains {
-                    if lo == hi && feature < model.n_features() {
-                        *model = model.fold_constant(feature, lo)?;
-                        changed = true;
-                    }
-                }
-            }
-            _ => {}
         }
-    }
-    if changed {
-        plan.pipeline.nodes = nodes;
+        // A feature pinned to one value folds into the intercept.
+        Some(Operator::LogisticRegression(model)) => {
+            for (feature, value) in pinned(&features, model.n_features()) {
+                *model = model.fold_constant(feature, value)?;
+                changed = true;
+            }
+        }
+        Some(Operator::LinearRegression(model)) => {
+            for (feature, value) in pinned(&features, model.n_features()) {
+                *model = model.fold_constant(feature, value)?;
+                changed = true;
+            }
+        }
+        _ => {}
     }
     Ok(changed)
 }
 
-/// Extract a `score >= c` (or `score > c`) lower bound from the output-side
-/// predicates, when present.
+/// The features of a `width`-wide model a box pins to one number.
+fn pinned(
+    features: &BTreeMap<usize, Interval>,
+    width: usize,
+) -> impl Iterator<Item = (usize, f64)> + '_ {
+    features
+        .iter()
+        .filter(move |(&f, d)| d.lo == d.hi && !d.may_be_nan && f < width)
+        .map(|(&f, d)| (f, d.lo))
+}
+
+/// The lower bound the output-side predicates put on the prediction
+/// (`score >= c`, `score > c` or `score = c`), when there is one.
 fn output_score_threshold(plan: &UnifiedPlan) -> Option<f64> {
-    for p in plan.output_predicates() {
-        if let Some((column, op, value)) = p.as_column_literal_comparison() {
-            if column == plan.prediction_column {
-                let v = value.as_f64()?;
-                match op {
-                    BinaryOp::GtEq | BinaryOp::Gt => return Some(v),
-                    _ => {}
-                }
-            }
-        }
-    }
-    None
+    let outputs = ColumnBox::from_conjuncts(plan.output_predicates());
+    let lo = outputs.get(&plan.prediction_column)?.interval.lo;
+    (lo > f64::NEG_INFINITY).then_some(lo)
 }
 
 // ---------------------------------------------------------------------------
@@ -429,7 +339,7 @@ mod tests {
         bind_batch, InputKind, LogisticRegressionModel, MlRuntime, OneHotEncoder, Operator,
         Pipeline, PipelineInput, PipelineNode, Scaler, Tree, TreeEnsemble, TreeNode,
     };
-    use raven_relational::{col, lit, Catalog, LogicalPlan};
+    use raven_relational::{col, lit, Catalog, Expr, LogicalPlan};
 
     fn catalog() -> Catalog {
         let mut c = Catalog::new();
@@ -545,14 +455,23 @@ mod tests {
         let layout = FeatureLayout::analyze(&pipeline()).unwrap();
         let p1 = col("asthma").eq(lit(1i64));
         let p2 = col("age").lt(lit(30.0));
-        let domains = derive_domains_from_predicates(&[&p1, &p2], &layout);
+        let domains = layout.feature_box(&ColumnBox::from_conjuncts([&p1, &p2]));
+        let point = |v| Interval {
+            lo: v,
+            hi: v,
+            may_be_nan: false,
+        };
         // asthma=1 → one-hot features 2,3 become constants [0,1]
-        assert_eq!(domains.get(&2), Some(&(0.0, 0.0)));
-        assert_eq!(domains.get(&3), Some(&(1.0, 1.0)));
-        // age<30 → scaled (30-50)*0.1 = -2.0 upper bound
-        let (lo, hi) = domains[&0];
-        assert_eq!(lo, f64::NEG_INFINITY);
-        assert!((hi - (-2.0)).abs() < 1e-12);
+        assert_eq!(domains.get(&2), Some(&point(0.0)));
+        assert_eq!(domains.get(&3), Some(&point(1.0)));
+        // age<30 → scaled (30-50)*0.1 = -2.0 upper bound; no row satisfying
+        // the predicate is NaN
+        let age = domains[&0];
+        assert_eq!(age.lo, f64::NEG_INFINITY);
+        assert!((age.hi - (-2.0)).abs() < 1e-12);
+        assert!(!age.may_be_nan);
+        // bpm is unconstrained
+        assert!(!domains.contains_key(&1));
     }
 
     #[test]

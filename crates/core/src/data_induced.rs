@@ -3,14 +3,13 @@
 //! a prediction query at compile time, and compile a partition-optimized
 //! model per partition.
 
-use crate::cross_opt::model_projection_pushdown;
+use crate::cross_opt::{model_projection_pushdown, prune_model};
 use crate::error::Result;
-use crate::layout::{FeatureLayout, InputMapping};
+use crate::layout::FeatureLayout;
 use raven_columnar::TableStatistics;
 use raven_ir::UnifiedPlan;
-use raven_ml::{Operator, Pipeline};
-use raven_relational::{Catalog, LogicalPlan};
-use std::collections::BTreeMap;
+use raven_ml::Pipeline;
+use raven_relational::{Catalog, ColumnBox, LogicalPlan};
 
 /// Outcome of applying data-induced optimizations.
 #[derive(Debug, Clone, Default)]
@@ -25,66 +24,6 @@ pub struct DataInducedReport {
     pub avg_pruned_columns_per_partition: f64,
 }
 
-/// Derive per-feature domains from table statistics for the inputs of a
-/// pipeline (the statistics-induced predicates of §4.2).
-pub fn domains_from_statistics(
-    pipeline: &Pipeline,
-    stats: &TableStatistics,
-    layout: &FeatureLayout,
-) -> BTreeMap<usize, (f64, f64)> {
-    let mut domains = BTreeMap::new();
-    for input in &pipeline.inputs {
-        let Some(cs) = stats.column(&input.name) else {
-            continue;
-        };
-        let Some((min, max)) = cs.numeric_range() else {
-            continue;
-        };
-        match layout.input(&input.name) {
-            Some(InputMapping::Affine {
-                feature,
-                offset,
-                scale,
-            }) => {
-                let a = (min - offset) * scale;
-                let b = (max - offset) * scale;
-                domains.insert(*feature, (a.min(b), a.max(b)));
-            }
-            Some(InputMapping::Identity { feature }) => {
-                domains.insert(*feature, (min, max));
-            }
-            Some(InputMapping::OneHot {
-                features,
-                categories,
-            })
-                // A constant column pins its whole one-hot block.
-                if cs.is_constant() => {
-                    let cat = cs
-                        .min
-                        .as_ref()
-                        .map(|v| match v {
-                            raven_columnar::Value::Utf8(s) => s.clone(),
-                            other => other
-                                .as_f64()
-                                .map(raven_ml::format_numeric_category)
-                                .unwrap_or_default(),
-                        })
-                        .unwrap_or_default();
-                    for (i, feature) in features.iter().enumerate() {
-                        let v = if categories.get(i).map(|c| c == &cat).unwrap_or(false) {
-                            1.0
-                        } else {
-                            0.0
-                        };
-                        domains.insert(*feature, (v, v));
-                    }
-                }
-            _ => {}
-        }
-    }
-    domains
-}
-
 /// Prune the plan's model using the *global* statistics of its base tables.
 /// Returns the data columns that became prunable as a result.
 pub fn apply_global_data_induced(
@@ -92,16 +31,12 @@ pub fn apply_global_data_induced(
     catalog: &Catalog,
 ) -> Result<DataInducedReport> {
     let mut report = DataInducedReport::default();
-    let stats = gather_statistics(&plan.data, catalog);
-    let layout = match FeatureLayout::analyze(&plan.pipeline) {
-        Ok(l) => l,
-        Err(_) => return Ok(report),
-    };
-    let domains = domains_from_statistics(&plan.pipeline, &stats, &layout);
-    if domains.is_empty() {
+    let Ok(layout) = FeatureLayout::analyze(&plan.pipeline) else {
         return Ok(report);
-    }
-    report.global_pruning_applied = prune_pipeline_with_domains(&mut plan.pipeline, &domains)?;
+    };
+    let stats = gather_statistics(&plan.data, catalog);
+    let features = layout.feature_box(&ColumnBox::from_statistics(&stats));
+    report.global_pruning_applied = prune_model(&mut plan.pipeline, &features);
     if report.global_pruning_applied {
         report.pruned_columns = model_projection_pushdown(plan)?;
     }
@@ -141,10 +76,9 @@ pub fn compile_partition_models(
     let mut pipelines = Vec::with_capacity(table.partitions().len());
     let mut total_pruned_cols = 0usize;
     for part_stats in table.partition_statistics() {
-        let domains = domains_from_statistics(&plan.pipeline, part_stats, &layout);
+        let features = layout.feature_box(&ColumnBox::from_statistics(part_stats));
         let mut pipeline = plan.pipeline.clone();
-        let changed = prune_pipeline_with_domains(&mut pipeline, &domains)?;
-        if changed {
+        if prune_model(&mut pipeline, &features) {
             // per-partition densification (counts the pruned columns of Tab. 2)
             let mut partition_plan = plan.clone();
             partition_plan.pipeline = pipeline.clone();
@@ -158,34 +92,6 @@ pub fn compile_partition_models(
     report.avg_pruned_columns_per_partition =
         total_pruned_cols as f64 / pipelines.len().max(1) as f64;
     Ok((pipelines, report))
-}
-
-fn prune_pipeline_with_domains(
-    pipeline: &mut Pipeline,
-    domains: &BTreeMap<usize, (f64, f64)>,
-) -> Result<bool> {
-    if domains.is_empty() {
-        return Ok(false);
-    }
-    let Some(model) = pipeline.model_node() else {
-        return Ok(false);
-    };
-    let model_name = model.name.clone();
-    let mut changed = false;
-    let mut nodes = pipeline.nodes.clone();
-    for node in nodes.iter_mut().filter(|n| n.name == model_name) {
-        if let Operator::TreeEnsemble(ensemble) = &mut node.op {
-            let pruned = ensemble.prune_with_domains(domains);
-            if pruned.total_nodes() < ensemble.total_nodes() {
-                *ensemble = pruned;
-                changed = true;
-            }
-        }
-    }
-    if changed {
-        pipeline.nodes = nodes;
-    }
-    Ok(changed)
 }
 
 fn gather_statistics(plan: &LogicalPlan, catalog: &Catalog) -> TableStatistics {
@@ -268,17 +174,29 @@ mod tests {
         .unwrap()
     }
 
+    fn young_table(ages: Vec<f64>) -> raven_columnar::Table {
+        let n = ages.len() as i64;
+        TableBuilder::new("hospital")
+            .add_i64("id", (1..=n).collect())
+            .add_f64("age", ages)
+            .add_f64("rcount", (0..n).map(|i| (i % 3) as f64).collect())
+            .build()
+            .unwrap()
+    }
+
     fn young_catalog() -> Catalog {
         let mut c = Catalog::new();
-        c.register(
-            TableBuilder::new("hospital")
-                .add_i64("id", vec![1, 2, 3])
-                .add_f64("age", vec![25.0, 40.0, 50.0])
-                .add_f64("rcount", vec![0.0, 1.0, 2.0])
-                .build()
-                .unwrap(),
-        );
+        c.register(young_table(vec![25.0, 40.0, 50.0]));
         c
+    }
+
+    /// Scores of the pipeline over the catalog's `hospital` table, as bits.
+    fn score_bits(pipeline: &Pipeline, c: &Catalog) -> Vec<u64> {
+        let batch = c.table("hospital").unwrap().to_batch().unwrap();
+        let inputs = raven_ml::bind_batch(pipeline, &batch).unwrap();
+        let scores = MlRuntime::new().run(pipeline, &inputs).unwrap();
+        let scores = scores.as_numeric().unwrap().column(0);
+        scores.iter().map(|s| s.to_bits()).collect()
     }
 
     #[test]
@@ -292,13 +210,81 @@ mod tests {
         assert!(report.global_pruning_applied);
         // age column is no longer needed by the pruned model (root decided)
         assert!(report.pruned_columns.contains(&"age".to_string()));
-
         // predictions on in-domain data are unchanged
-        let batch = c.table("hospital").unwrap().to_batch().unwrap();
-        let rt = MlRuntime::new();
-        let orig = rt.run_batch(&before, &batch).unwrap();
-        let new = rt.run_batch(&plan.pipeline, &batch).unwrap();
-        assert_eq!(orig, new);
+        assert_eq!(score_bits(&before, &c), score_bits(&plan.pipeline, &c));
+
+        // One more row, with a missing age: NaN goes right at the root
+        // (0.9), so the statistics no longer decide it and the row scores as
+        // before pruning.
+        let mut c = Catalog::new();
+        c.register(young_table(vec![25.0, 40.0, 50.0, f64::NAN]));
+        let mut plan =
+            UnifiedPlan::new(LogicalPlan::scan("hospital"), pipeline(), "risk", &c).unwrap();
+        plan.projection = vec![col("id"), col("risk")];
+        apply_global_data_induced(&mut plan, &c).unwrap();
+        assert!(plan.pipeline.input("age").is_some());
+        let scores = score_bits(&plan.pipeline, &c);
+        assert_eq!(scores, score_bits(&before, &c));
+        assert_eq!(f64::from_bits(scores[3]), 0.9);
+    }
+
+    /// The whole query, optimized and not, on a table holding a missing age:
+    /// every `(id, score)` pair agrees bit for bit, on one partition (global
+    /// statistics) and on age partitions (per-partition models).
+    #[test]
+    fn session_scores_nan_rows_like_no_opt() {
+        use crate::session::{RavenConfig, RavenSession, RuntimePolicy};
+        let table = young_table(vec![25.0, 40.0, f64::NAN, 70.0, 50.0, 80.0, 65.0]);
+        let partitioned = partition_by_column(
+            &table,
+            &PartitionSpec::ByRange {
+                column: "age".into(),
+                partitions: 2,
+            },
+        )
+        .unwrap();
+        let young = young_table(vec![25.0, f64::NAN, 40.0, 50.0]);
+        let query = "SELECT d.id, p.risk FROM PREDICT(MODEL = m, DATA = hospital AS d) \
+                     WITH (risk float) AS p";
+        for (table, partition_models) in [(young, false), (partitioned, true)] {
+            let run = |config: RavenConfig| {
+                let mut session = RavenSession::with_config(config);
+                session.register_table(table.clone());
+                session.register_model(pipeline());
+                let out = session.sql(query).unwrap();
+                let ids = out
+                    .batch
+                    .column_by_name("id")
+                    .unwrap()
+                    .as_i64()
+                    .unwrap()
+                    .to_vec();
+                let risk = out.batch.column_by_name("risk").unwrap().as_f64().unwrap();
+                let mut rows: Vec<(i64, u64)> = ids
+                    .into_iter()
+                    .zip(risk.iter().map(|r| r.to_bits()))
+                    .collect();
+                rows.sort();
+                (rows, out.report)
+            };
+            // partition models are compiled for the ML runtime only
+            let runtime_policy = if partition_models {
+                RuntimePolicy::NoTransform
+            } else {
+                RuntimePolicy::Heuristic
+            };
+            let (raven, report) = run(RavenConfig {
+                enable_partition_models: partition_models,
+                runtime_policy,
+                ..RavenConfig::default()
+            });
+            let (baseline, _) = run(RavenConfig::no_opt());
+            assert_eq!(raven, baseline, "partition models: {partition_models}");
+            assert_eq!(raven.len(), table.num_rows());
+            if partition_models {
+                assert!(report.data_induced.partition_models >= 2);
+            }
+        }
     }
 
     #[test]
@@ -321,10 +307,15 @@ mod tests {
     #[test]
     fn partition_models_are_specialized_and_correct() {
         let mut c = Catalog::new();
+        // the missing age lands in the young partition, whose statistics
+        // then cannot send every row left at the age split
         let table = TableBuilder::new("hospital")
-            .add_i64("id", (0..8).collect())
-            .add_f64("age", vec![20.0, 30.0, 40.0, 50.0, 65.0, 70.0, 80.0, 90.0])
-            .add_f64("rcount", vec![0.0, 1.0, 2.0, 3.0, 0.0, 1.0, 2.0, 3.0])
+            .add_i64("id", (0..9).collect())
+            .add_f64(
+                "age",
+                vec![20.0, 30.0, 40.0, 50.0, 65.0, 70.0, 80.0, 90.0, f64::NAN],
+            )
+            .add_f64("rcount", vec![0.0, 1.0, 2.0, 3.0, 0.0, 1.0, 2.0, 3.0, 0.0])
             .build()
             .unwrap();
         let partitioned = partition_by_column(
@@ -349,7 +340,8 @@ mod tests {
             // the specialized pipeline may have dropped inputs; bind only what it needs
             let inputs = raven_ml::bind_batch(model, batch).unwrap();
             let new = rt.run(model, &inputs).unwrap();
-            assert_eq!(orig, new.as_numeric().unwrap().column(0));
+            let bits = |v: &[f64]| v.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&orig), bits(&new.as_numeric().unwrap().column(0)));
         }
         // at least one partition model is smaller than the original
         let orig_nodes: usize = match &plan.pipeline.model_node().unwrap().op {

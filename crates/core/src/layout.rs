@@ -9,7 +9,9 @@
 //! needed to push predicate constants through (paper §4.1, Step 2).
 
 use crate::error::{RavenError, Result};
-use raven_ml::{Operator, Pipeline};
+use raven_columnar::{Interval, Value};
+use raven_ml::{format_numeric_category, Operator, Pipeline};
+use raven_relational::ColumnBox;
 use std::collections::BTreeMap;
 
 /// How a pipeline input maps to feature positions of the model input vector.
@@ -80,6 +82,64 @@ impl FeatureLayout {
     /// The mapping for one input, if known.
     pub fn input(&self, name: &str) -> Option<&InputMapping> {
         self.inputs.get(name)
+    }
+
+    /// Map a column box to the model's feature space (paper §4.1 Step 2),
+    /// for predicate-based and data-induced pruning alike. An affine or
+    /// identity input carries its interval through `(x - offset) * scale`,
+    /// NaN flag included (NaN stays NaN); a one-hot input whose value is
+    /// known pins its whole block to exact 0/1 constants; opaque inputs and
+    /// columns the box does not name stay unconstrained.
+    pub fn feature_box(&self, columns: &ColumnBox) -> BTreeMap<usize, Interval> {
+        let mut features = BTreeMap::new();
+        for (input, mapping) in &self.inputs {
+            let Some(domain) = columns.get(input) else {
+                continue;
+            };
+            match mapping {
+                InputMapping::Affine {
+                    feature,
+                    offset,
+                    scale,
+                } => {
+                    let Interval { lo, hi, may_be_nan } = domain.interval;
+                    let (a, b) = ((lo - offset) * scale, (hi - offset) * scale);
+                    // a negative scale reverses the bounds; an empty
+                    // interval stays empty
+                    let (lo, hi) = if *scale < 0.0 { (b, a) } else { (a, b) };
+                    features.insert(*feature, Interval { lo, hi, may_be_nan });
+                }
+                InputMapping::Identity { feature } => {
+                    features.insert(*feature, domain.interval);
+                }
+                InputMapping::OneHot {
+                    features: block,
+                    categories,
+                } => {
+                    let Some(value) = &domain.value else {
+                        continue;
+                    };
+                    let category = match value {
+                        Value::Utf8(s) => s.clone(),
+                        other => other
+                            .as_f64()
+                            .map(format_numeric_category)
+                            .unwrap_or_default(),
+                    };
+                    for (feature, c) in block.iter().zip(categories) {
+                        let v = if *c == category { 1.0 } else { 0.0 };
+                        let point = Interval {
+                            lo: v,
+                            hi: v,
+                            may_be_nan: false,
+                        };
+                        features.insert(*feature, point);
+                    }
+                }
+                InputMapping::Opaque { .. } => {}
+            }
+        }
+        features
     }
 
     /// Inputs that feed at least one of the given feature indices.

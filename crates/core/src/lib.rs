@@ -25,12 +25,10 @@ pub mod stats;
 pub mod strategy;
 
 pub use cross_opt::{
-    apply_cross_optimizations, derive_domains_from_predicates, model_projection_pushdown,
-    predicate_based_model_pruning, CrossOptReport,
+    apply_cross_optimizations, model_projection_pushdown, predicate_based_model_pruning,
+    CrossOptReport,
 };
-pub use data_induced::{
-    apply_global_data_induced, compile_partition_models, domains_from_statistics, DataInducedReport,
-};
+pub use data_induced::{apply_global_data_induced, compile_partition_models, DataInducedReport};
 pub use error::{RavenError, Result};
 pub use layout::{FeatureLayout, InputMapping};
 pub use mltodnn::{apply_ml_to_dnn, DnnPlan};

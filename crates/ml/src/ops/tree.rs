@@ -5,6 +5,7 @@
 use crate::error::{MlError, Result};
 use crate::frame::Matrix;
 use crate::ops::linear::sigmoid;
+use raven_columnar::Interval;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -152,16 +153,19 @@ impl Tree {
         self.prune_with_domains(&BTreeMap::new())
     }
 
-    /// Prune branches that are unreachable given per-feature value domains
-    /// `[lo, hi]` (inclusive). This implements both predicate-based pruning
-    /// (equality → `[c, c]`, range predicates) and data-induced pruning
-    /// (min/max statistics) from paper §4.1–§4.2.
+    /// Prune branches that are unreachable given per-feature value domains.
+    /// This implements both predicate-based pruning (equality → `[c, c]`,
+    /// range predicates) and data-induced pruning (min/max statistics) from
+    /// paper §4.1–§4.2. NaN goes right at every split, so a split whose
+    /// domain lies above the threshold always goes right, and one whose
+    /// domain lies at or below it always goes left only when the domain
+    /// admits no NaN.
     ///
     /// Iterative (explicit enter/combine stack): this runs on the query path
     /// for every registered model, and a chain-shaped tree must not consume
     /// one recursion frame per level. Emission order (left sub-tree, right
     /// sub-tree, parent) matches the recursive formulation it replaced.
-    pub fn prune_with_domains(&self, domains: &BTreeMap<usize, (f64, f64)>) -> Tree {
+    pub fn prune_with_domains(&self, domains: &BTreeMap<usize, Interval>) -> Tree {
         enum Step {
             Visit(usize),
             Combine { feature: usize, threshold: f64 },
@@ -184,13 +188,14 @@ impl Tree {
                             left,
                             right,
                         } => {
-                            if let Some(&(lo, hi)) = domains.get(feature) {
-                                if hi <= *threshold {
+                            if let Some(domain) = domains.get(feature) {
+                                if domain.hi <= *threshold && !domain.may_be_nan {
                                     // every in-domain value goes left
                                     idx = *left;
                                     continue;
                                 }
-                                if lo > *threshold {
+                                if domain.lo > *threshold {
+                                    // every in-domain value, NaN too, goes right
                                     idx = *right;
                                     continue;
                                 }
@@ -478,7 +483,7 @@ impl TreeEnsemble {
     }
 
     /// Prune every member tree with per-feature domains and compact them.
-    pub fn prune_with_domains(&self, domains: &BTreeMap<usize, (f64, f64)>) -> TreeEnsemble {
+    pub fn prune_with_domains(&self, domains: &BTreeMap<usize, Interval>) -> TreeEnsemble {
         TreeEnsemble {
             trees: self
                 .trees
@@ -536,6 +541,15 @@ impl TreeEnsemble {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A NaN-free domain `[lo, hi]`.
+    fn closed(lo: f64, hi: f64) -> Interval {
+        Interval {
+            lo,
+            hi,
+            may_be_nan: false,
+        }
+    }
 
     /// The running-example tree of Fig. 3: root on F[3] (asthma one-hot),
     /// left sub-tree on F[0] (scaled age) / F[1], right sub-tree on F[2]/F[3].
@@ -602,7 +616,7 @@ mod tests {
         let t = example_tree();
         // asthma = 1 (one-hot feature 3 = 1): root goes right always.
         let mut domains = BTreeMap::new();
-        domains.insert(3usize, (1.0, 1.0));
+        domains.insert(3usize, closed(1.0, 1.0));
         let pruned = t.prune_with_domains(&domains).compact();
         assert!(pruned.node_count() < t.node_count());
         assert!(!pruned.used_features().contains(&3));
@@ -619,12 +633,31 @@ mod tests {
         let t = example_tree();
         // age < 30 (and asthma unconstrained): left branch under node 1 always taken.
         let mut domains = BTreeMap::new();
-        domains.insert(0usize, (0.0, 29.0));
+        domains.insert(0usize, closed(0.0, 29.0));
         let pruned = t.prune_with_domains(&domains).compact();
         assert!(pruned.node_count() < t.node_count());
         for asthma in [0.0, 1.0] {
             let row = [25.0, 2.0, 1.0, asthma];
             assert_eq!(t.predict_row(&row), pruned.predict_row(&row));
+        }
+        // The same ages *or missing*: NaN goes right at node 1, so its split
+        // survives; ages wholly above the threshold still decide it, NaN
+        // included.
+        let maybe_nan = |lo, hi| Interval {
+            may_be_nan: true,
+            ..closed(lo, hi)
+        };
+        for (domain, age, shrinks) in [
+            (maybe_nan(0.0, 29.0), 25.0, false),
+            (maybe_nan(61.0, 90.0), 70.0, true),
+        ] {
+            domains.insert(0usize, domain);
+            let pruned = t.prune_with_domains(&domains).compact();
+            assert_eq!(pruned.node_count() < t.node_count(), shrinks);
+            for age in [age, f64::NAN] {
+                let row = [age, 0.5, 1.0, 0.0];
+                assert_eq!(t.predict_row(&row), pruned.predict_row(&row));
+            }
         }
     }
 
@@ -711,7 +744,7 @@ mod tests {
         }
         // the domain forces every split left: the chain collapses to a leaf
         let mut domains = BTreeMap::new();
-        domains.insert(0usize, (0.0, 0.0));
+        domains.insert(0usize, closed(0.0, 0.0));
         let pruned = t.prune_with_domains(&domains);
         assert_eq!(pruned.node_count(), 1);
         assert_eq!(pruned.predict_row(&[0.0]), -1.0);
@@ -815,7 +848,7 @@ mod tests {
     fn ensemble_prune_with_domains() {
         let ens = TreeEnsemble::single_tree(example_tree(), 4);
         let mut domains = BTreeMap::new();
-        domains.insert(3usize, (1.0, 1.0));
+        domains.insert(3usize, closed(1.0, 1.0));
         let pruned = ens.prune_with_domains(&domains);
         assert!(pruned.total_nodes() < ens.total_nodes());
     }

@@ -10,6 +10,7 @@
 //! build-side selection and table pre-sizing.
 
 use crate::catalog::Catalog;
+use crate::domain::half_line;
 use crate::expr::{BinaryOp, Expr};
 use crate::logical::LogicalPlan;
 use raven_columnar::ColumnStatistics;
@@ -174,15 +175,13 @@ impl<'a> CostModel<'a> {
                     match op {
                         BinaryOp::Eq => eq,
                         BinaryOp::NotEq => (1.0 - eq).clamp(0.0, 1.0),
-                        BinaryOp::Lt | BinaryOp::LtEq => value
+                        _ => value
                             .as_f64()
-                            .and_then(|v| stats.as_ref()?.range_fraction(f64::NEG_INFINITY, v))
+                            .and_then(|v| {
+                                let range = half_line(op, v)?;
+                                Some(stats.as_ref()?.interval()?.fraction(range))
+                            })
                             .unwrap_or(DEFAULT_RANGE_SELECTIVITY),
-                        BinaryOp::Gt | BinaryOp::GtEq => value
-                            .as_f64()
-                            .and_then(|v| stats.as_ref()?.range_fraction(v, f64::INFINITY))
-                            .unwrap_or(DEFAULT_RANGE_SELECTIVITY),
-                        _ => DEFAULT_SELECTIVITY,
                     }
                 }
                 None => DEFAULT_SELECTIVITY,

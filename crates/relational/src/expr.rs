@@ -233,24 +233,6 @@ impl Expr {
             .unwrap_or(Expr::Literal(Value::Boolean(true)))
     }
 
-    /// If this is a simple `column <op> literal` (or `literal <op> column`)
-    /// comparison, return `(column, op, literal)` with the operator oriented
-    /// so the column is on the left.
-    pub fn as_column_literal_comparison(&self) -> Option<(&str, BinaryOp, &Value)> {
-        if let Expr::Binary { left, op, right } = self {
-            if !op.is_predicate() || matches!(op, BinaryOp::And | BinaryOp::Or) {
-                return None;
-            }
-            match (left.as_ref(), right.as_ref()) {
-                (Expr::Column(c), Expr::Literal(v)) => Some((c.as_str(), *op, v)),
-                (Expr::Literal(v), Expr::Column(c)) => Some((c.as_str(), flip(*op), v)),
-                _ => None,
-            }
-        } else {
-            None
-        }
-    }
-
     // ---- builder helpers -------------------------------------------------
 
     pub fn and(self, other: Expr) -> Expr {
@@ -317,16 +299,6 @@ impl Expr {
             func: ScalarFunc::Exp,
             arg: Box::new(self),
         }
-    }
-}
-
-fn flip(op: BinaryOp) -> BinaryOp {
-    match op {
-        BinaryOp::Lt => BinaryOp::Gt,
-        BinaryOp::LtEq => BinaryOp::GtEq,
-        BinaryOp::Gt => BinaryOp::Lt,
-        BinaryOp::GtEq => BinaryOp::LtEq,
-        other => other,
     }
 }
 

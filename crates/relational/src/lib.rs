@@ -18,10 +18,14 @@
 //!   configurable degree of parallelism (the DOP knob of §7.1.2),
 //!   cost-based hash-join build-side selection, and execution metrics
 //!   (rows/bytes scanned, join build/probe work) used by the experiment
-//!   harnesses.
+//!   harnesses,
+//! * one interval domain for comparison predicates ([`domain`]): statistics
+//!   partition pruning, the per-column box model pruning maps to feature
+//!   space, and range selectivity.
 
 pub mod catalog;
 pub mod cost;
+pub mod domain;
 pub mod error;
 pub mod eval;
 pub mod expr;
@@ -34,6 +38,7 @@ pub mod verify;
 
 pub use catalog::Catalog;
 pub use cost::{explain_with_estimates, CostModel};
+pub use domain::{may_satisfy, may_satisfy_all, ColumnBox, ColumnDomain};
 pub use error::{RelationalError, Result};
 pub use eval::{evaluate, evaluate_predicate, evaluate_selected, expr_data_type};
 pub use expr::{binary, case, col, lit, AggregateFunction, BinaryOp, Expr, ScalarFunc};
@@ -41,7 +46,6 @@ pub use join_reorder::reorder_joins;
 pub use logical::{AggregateExpr, LogicalPlan};
 pub use optimizer::{fold_expr, Optimizer, OptimizerOptions};
 pub use physical::{aggregate_items, ExecutionContext, ExecutionMetrics, Executor};
-pub use prune::{may_satisfy, may_satisfy_all};
 pub use verify::{
     baseline, check_plan, check_rewrite, conjunct_count, force_verify, verify_enabled, Baseline,
     VerifyError,

@@ -16,11 +16,11 @@
 //! final output boundary inside [`Executor::execute`].
 
 use crate::catalog::Catalog;
+use crate::domain;
 use crate::error::{RelationalError, Result};
 use crate::eval::{evaluate, evaluate_predicate};
 use crate::expr::{AggregateFunction, Expr};
 use crate::logical::{AggregateExpr, LogicalPlan};
-use crate::prune;
 use raven_columnar::{
     fast_hash, Batch, BatchStream, Column, ColumnRef, ColumnarError, DataType, FastMap, Schema,
     SelectionVector, StreamBatch, Value,
@@ -225,7 +225,7 @@ impl Executor {
                         // partition without scanning when its min/max
                         // statistics prove every filter row-empty.
                         if let (true, Some(stats)) = (pruning, &item.stats) {
-                            if !prune::may_satisfy_all(&filters, stats) {
+                            if !domain::may_satisfy_all(&filters, stats) {
                                 metrics.partitions_pruned.fetch_add(1, Ordering::Relaxed);
                                 return Ok(None);
                             }

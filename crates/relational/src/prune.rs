@@ -1,197 +1,15 @@
-//! Statistics-based partition pruning.
-//!
-//! Given a partition's per-column min/max statistics and a conjunctive scan
-//! predicate, decide whether the partition can possibly contain a satisfying
-//! row. Partitions whose statistics prove the predicate always-false are
-//! skipped without being scanned — the paper's data-induced *compute pruning*
-//! (§4.2) applied to the relational side of a prediction query.
-//!
-//! The analysis is deliberately conservative: it returns `false` (prune) only
-//! when the predicate is provably unsatisfiable over every row the statistics
-//! admit, and `true` (keep) whenever it cannot tell. Missing values are
-//! represented in-band (NaN / empty string), so a column with `null_count > 0`
-//! additionally admits the "missing" outcome, mirroring the evaluator's IEEE
-//! comparison semantics (`NaN != x` is true, every other comparison with NaN
-//! is false) — that only widens the predicate's possible outcomes and never
-//! causes an incorrect prune.
+//! Statistics-based partition pruning (paper §4.2): the executor skips a
+//! partition whose min/max statistics prove the scan's conjunction
+//! unsatisfiable. The decision is [`crate::domain`]'s comparison semantics;
+//! this module names the entry points and pins their decisions in tests.
 
-use crate::expr::{BinaryOp, Expr};
-use raven_columnar::{ColumnStatistics, TableStatistics, Value};
-
-/// The set of boolean outcomes a predicate may take over the rows a
-/// statistics object admits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Outcomes {
-    may_true: bool,
-    may_false: bool,
-}
-
-impl Outcomes {
-    const UNKNOWN: Outcomes = Outcomes {
-        may_true: true,
-        may_false: true,
-    };
-    fn certain(value: bool) -> Outcomes {
-        Outcomes {
-            may_true: value,
-            may_false: !value,
-        }
-    }
-}
-
-/// A numeric interval a column is known to lie in, plus whether missing
-/// values (NaN) may occur.
-#[derive(Debug, Clone, Copy)]
-struct Interval {
-    lo: f64,
-    hi: f64,
-    may_be_missing: bool,
-}
-
-fn column_interval(stats: &ColumnStatistics) -> Option<Interval> {
-    let (lo, hi) = stats.numeric_range()?;
-    Some(Interval {
-        lo,
-        hi,
-        may_be_missing: stats.null_count > 0,
-    })
-}
-
-fn literal_value(expr: &Expr) -> Option<f64> {
-    match expr {
-        Expr::Literal(v) => match v {
-            Value::Float64(f) => Some(*f),
-            Value::Int64(i) => Some(*i as f64),
-            Value::Boolean(b) => Some(*b as i64 as f64),
-            _ => None,
-        },
-        Expr::Alias { expr, .. } => literal_value(expr),
-        _ => None,
-    }
-}
-
-fn column_name(expr: &Expr) -> Option<&str> {
-    match expr {
-        Expr::Column(name) => Some(name),
-        Expr::Alias { expr, .. } => column_name(expr),
-        _ => None,
-    }
-}
-
-/// Possible outcomes of `[lo, hi] op literal` over all admitted values.
-fn compare_interval(interval: Interval, op: BinaryOp, lit: f64) -> Outcomes {
-    if lit.is_nan() {
-        return Outcomes::UNKNOWN;
-    }
-    let Interval {
-        lo,
-        hi,
-        may_be_missing,
-    } = interval;
-    let (may_true, may_false) = match op {
-        BinaryOp::Eq => (lo <= lit && lit <= hi, !(lo == lit && hi == lit)),
-        BinaryOp::NotEq => (!(lo == lit && hi == lit), lo <= lit && lit <= hi),
-        BinaryOp::Lt => (lo < lit, hi >= lit),
-        BinaryOp::LtEq => (lo <= lit, hi > lit),
-        BinaryOp::Gt => (hi > lit, lo <= lit),
-        BinaryOp::GtEq => (hi >= lit, lo < lit),
-        _ => return Outcomes::UNKNOWN,
-    };
-    // A missing (NaN) value follows the evaluator's IEEE comparison
-    // semantics: `NaN != x` is true, every other comparison with NaN is
-    // false. Widen exactly the outcome a NaN row would produce.
-    let missing_is_true = op == BinaryOp::NotEq;
-    Outcomes {
-        may_true: may_true || (may_be_missing && missing_is_true),
-        may_false: may_false || (may_be_missing && !missing_is_true),
-    }
-}
-
-fn swap_comparison(op: BinaryOp) -> BinaryOp {
-    match op {
-        BinaryOp::Lt => BinaryOp::Gt,
-        BinaryOp::LtEq => BinaryOp::GtEq,
-        BinaryOp::Gt => BinaryOp::Lt,
-        BinaryOp::GtEq => BinaryOp::LtEq,
-        other => other,
-    }
-}
-
-fn outcomes(expr: &Expr, stats: &TableStatistics) -> Outcomes {
-    match expr {
-        Expr::Literal(v) => match v {
-            Value::Boolean(b) => Outcomes::certain(*b),
-            Value::Int64(i) => Outcomes::certain(*i != 0),
-            Value::Float64(f) => Outcomes::certain(*f != 0.0 && !f.is_nan()),
-            _ => Outcomes::UNKNOWN,
-        },
-        Expr::Alias { expr, .. } => outcomes(expr, stats),
-        Expr::Not(inner) => {
-            let o = outcomes(inner, stats);
-            Outcomes {
-                may_true: o.may_false,
-                may_false: o.may_true,
-            }
-        }
-        Expr::Binary { left, op, right } => match op {
-            BinaryOp::And => {
-                let l = outcomes(left, stats);
-                let r = outcomes(right, stats);
-                Outcomes {
-                    may_true: l.may_true && r.may_true,
-                    may_false: l.may_false || r.may_false,
-                }
-            }
-            BinaryOp::Or => {
-                let l = outcomes(left, stats);
-                let r = outcomes(right, stats);
-                Outcomes {
-                    may_true: l.may_true || r.may_true,
-                    may_false: l.may_false && r.may_false,
-                }
-            }
-            BinaryOp::Eq
-            | BinaryOp::NotEq
-            | BinaryOp::Lt
-            | BinaryOp::LtEq
-            | BinaryOp::Gt
-            | BinaryOp::GtEq => {
-                // column <op> literal (either side)
-                if let (Some(name), Some(lit)) = (column_name(left), literal_value(right)) {
-                    if let Some(interval) = stats.column(name).and_then(column_interval) {
-                        return compare_interval(interval, *op, lit);
-                    }
-                }
-                if let (Some(lit), Some(name)) = (literal_value(left), column_name(right)) {
-                    if let Some(interval) = stats.column(name).and_then(column_interval) {
-                        return compare_interval(interval, swap_comparison(*op), lit);
-                    }
-                }
-                Outcomes::UNKNOWN
-            }
-            _ => Outcomes::UNKNOWN,
-        },
-        _ => Outcomes::UNKNOWN,
-    }
-}
-
-/// Whether a partition with the given statistics may contain a row satisfying
-/// `predicate`. `false` means the partition is provably empty under the
-/// predicate and can be pruned without scanning.
-pub fn may_satisfy(predicate: &Expr, stats: &TableStatistics) -> bool {
-    outcomes(predicate, stats).may_true
-}
-
-/// Whether a partition may satisfy *all* predicates of a conjunction.
-pub fn may_satisfy_all(predicates: &[Expr], stats: &TableStatistics) -> bool {
-    predicates.iter().all(|p| may_satisfy(p, stats))
-}
+pub use crate::domain::{may_satisfy, may_satisfy_all};
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::expr::{col, lit};
-    use raven_columnar::TableBuilder;
+    use raven_columnar::{TableBuilder, TableStatistics};
 
     fn stats(ages: Vec<f64>) -> TableStatistics {
         let n = ages.len();

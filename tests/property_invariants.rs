@@ -1,20 +1,32 @@
 //! Property-based tests (proptest) for the core invariants the Raven paper's
 //! optimizations rely on:
 //!
-//! * tree pruning with predicate-induced domains never changes predictions on
-//!   rows satisfying the predicate,
+//! * tree pruning with a statistics/predicate box never changes predictions
+//!   on rows the box admits, NaN rows included,
 //! * model densification + feature remapping preserves predictions,
 //! * MLtoSQL and MLtoDNN agree with the native ML runtime,
 //! * relational optimizer rewrites preserve query results.
 
 use proptest::prelude::*;
 use raven::prelude::*;
+use raven_columnar::{ColumnStatistics, Interval};
 use raven_ml::{
     train_decision_tree_classifier, train_gradient_boosting, BoostingConfig, Matrix, TreeConfig,
 };
 use raven_relational::{evaluate, ExecutionContext, Executor, Optimizer};
 use raven_tensor::{compile_ensemble, Strategy as TensorStrategy};
 use std::collections::BTreeMap;
+
+mod model_inputs;
+
+/// Whether `v` lies in `interval` (NaN iff it admits NaN).
+fn admits(interval: Interval, v: f64) -> bool {
+    if v.is_nan() {
+        interval.may_be_nan
+    } else {
+        interval.lo <= v && v <= interval.hi
+    }
+}
 
 fn feature_matrix(rows: &[Vec<f64>]) -> Matrix {
     let cols = rows[0].len();
@@ -48,12 +60,19 @@ prop_compose! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Pruning a tree ensemble with a feature domain keeps predictions
-    /// identical for every row inside that domain.
+    /// Pruning a tree ensemble with a feature box keeps predictions
+    /// bit-identical on every row the box admits, NaN rows included. The box
+    /// of feature 0 is the statistics of a NaN-laced column (so
+    /// `null_count > 0`), optionally intersected with the predicate
+    /// `f0 <= threshold`, which no NaN satisfies. The rows are the data with
+    /// NaN laced into feature 0 plus model-directed probes: at every split,
+    /// its threshold, the next float above it and NaN.
     #[test]
     fn domain_pruning_preserves_in_domain_predictions(
         (rows, labels) in dataset(),
         threshold in -1.0f64..1.0,
+        nan_stride in 2usize..6,
+        with_predicate in 0usize..2,
     ) {
         let x = feature_matrix(&rows);
         let ensemble = train_decision_tree_classifier(
@@ -61,13 +80,46 @@ proptest! {
             &labels,
             &TreeConfig { max_depth: 6, ..Default::default() },
         ).unwrap();
-        // constrain feature 0 to (-inf, threshold]
-        let mut domains = BTreeMap::new();
-        domains.insert(0usize, (f64::NEG_INFINITY, threshold));
+        let mut test_rows: Vec<Vec<f64>> = rows
+            .iter()
+            .enumerate()
+            .map(|(i, r)| {
+                let mut r = r.clone();
+                if i % nan_stride == 0 {
+                    r[0] = f64::NAN;
+                }
+                r
+            })
+            .collect();
+        for f in 0..x.cols() {
+            for v in model_inputs::split_values(&ensemble.trees, f) {
+                for base in rows.iter().take(4) {
+                    let mut r = base.clone();
+                    r[f] = v;
+                    test_rows.push(r);
+                }
+            }
+        }
+        // statistics of feature 0 over the rows at or below the threshold,
+        // the missing ones included
+        let column: Vec<f64> = test_rows.iter().map(|r| r[0]).filter(|v| v.is_nan() || *v <= threshold).collect();
+        let stats = ColumnStatistics::compute("f0", &Column::Float64(column)).unwrap();
+        prop_assert!(stats.null_count > 0);
+        prop_assume!(stats.interval().is_some());
+        let within_stats = stats.interval().unwrap();
+        let predicate = if with_predicate == 1 {
+            Interval { lo: f64::NEG_INFINITY, hi: threshold, may_be_nan: false }
+        } else {
+            Interval::UNBOUNDED
+        };
+        let domains = BTreeMap::from([(0usize, within_stats.intersect(predicate))]);
         let pruned = ensemble.prune_with_domains(&domains);
         prop_assert!(pruned.total_nodes() <= ensemble.total_nodes());
-        for row in rows.iter().filter(|r| r[0] <= threshold) {
-            prop_assert_eq!(ensemble.predict_row(row), pruned.predict_row(row));
+        for row in test_rows
+            .iter()
+            .filter(|r| admits(within_stats, r[0]) && admits(predicate, r[0]))
+        {
+            prop_assert_eq!(ensemble.predict_row(row).to_bits(), pruned.predict_row(row).to_bits());
         }
     }
 

@@ -14,6 +14,7 @@ use raven_ml::{EnsembleKind, FlatEnsemble, Matrix, Tree, TreeEnsemble, TreeNode}
 use raven_relational::{col, lit, ExecutionContext, Executor, LogicalPlan};
 
 mod common;
+mod model_inputs;
 
 /// Build a random binary tree over `n_features` features with the given
 /// depth budget. `shape` drives all structural choices deterministically.
@@ -24,11 +25,13 @@ fn random_tree(shape: u64, n_features: usize, max_depth: usize) -> Tree {
         n_features: usize,
         depth_left: usize,
     ) -> usize {
-        let pick = *shape & 0xf;
+        // Every choice reads its own bits of the well-mixed upper half (the
+        // low bits of the odd state are always 1).
+        let draw = *shape >> 32;
         *shape = shape.rotate_right(7).wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
         // leaf values include 0.0, -0.0, and negatives to pin sign handling
-        if depth_left == 0 || pick < 5 {
-            let value = match pick % 5 {
+        if depth_left == 0 || draw & 0xf < 5 {
+            let value = match (draw >> 4) % 5 {
                 0 => 0.0,
                 1 => -0.0,
                 2 => 1.0,
@@ -38,8 +41,8 @@ fn random_tree(shape: u64, n_features: usize, max_depth: usize) -> Tree {
             nodes.push(TreeNode::Leaf { value });
             return nodes.len() - 1;
         }
-        let feature = (pick as usize) % n_features;
-        let threshold = match pick % 4 {
+        let feature = ((draw >> 8) as usize) % n_features;
+        let threshold = match (draw >> 16) % 4 {
             0 => 0.0,
             1 => -1.0,
             2 => 42.5,
@@ -58,7 +61,7 @@ fn random_tree(shape: u64, n_features: usize, max_depth: usize) -> Tree {
         pos
     }
     let mut nodes = Vec::new();
-    let mut s = shape | 1;
+    let mut s = (shape | 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
     let root = grow(&mut nodes, &mut s, n_features, max_depth);
     Tree { nodes, root }
 }
@@ -188,13 +191,110 @@ proptest! {
         }
     }
 
+    /// End-to-end: a full prediction query with an input and an output
+    /// predicate returns exactly the rows and scores of the interpreted
+    /// oracle — `MlRuntime::run_batch` over the unoptimized pipeline on the
+    /// filtered rows — and copies no batch mid-pipeline.
+    #[test]
+    fn session_scores_identically_to_the_interpreted_oracle(
+        rows in 20usize..120,
+        seed in 0u64..500,
+        threshold in 20.0f64..90.0,
+        score_cut in 0.0f64..1.0,
+    ) {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let table = TableBuilder::new("patients")
+            .add_i64("id", (0..rows as i64).collect())
+            .add_f64("age", (0..rows).map(|_| rng.gen_range(18.0..95.0)).collect())
+            .add_f64("rcount", (0..rows).map(|_| rng.gen_range(0.0..5.0)).collect())
+            .build()
+            .unwrap();
+        let tree = random_tree(seed | 1, 2, 3);
+        let pipeline = raven_ml::Pipeline::new(
+            "risk_model",
+            vec![
+                raven_ml::PipelineInput { name: "age".into(), kind: raven_ml::InputKind::Numeric },
+                raven_ml::PipelineInput { name: "rcount".into(), kind: raven_ml::InputKind::Numeric },
+            ],
+            vec![
+                raven_ml::PipelineNode {
+                    name: "concat".into(),
+                    op: raven_ml::Operator::Concat,
+                    inputs: vec!["age".into(), "rcount".into()],
+                    output: "features".into(),
+                },
+                raven_ml::PipelineNode {
+                    name: "model".into(),
+                    op: raven_ml::Operator::TreeEnsemble(TreeEnsemble {
+                        kind: EnsembleKind::GradientBoostingClassifier,
+                        trees: vec![tree.clone(), tree],
+                        n_features: 2,
+                        learning_rate: 0.3,
+                        base_score: 0.1,
+                    }),
+                    inputs: vec!["features".into()],
+                    output: "score".into(),
+                },
+            ],
+            "score",
+        )
+        .unwrap();
+
+        // the oracle: filter on age, score every survivor by walking the
+        // operator graph, then keep the rows whose score passes the cut
+        let batch = table.to_batch().unwrap();
+        let ages = batch.column_by_name("age").unwrap();
+        let mask: Vec<bool> = ages.as_f64().unwrap().iter().map(|a| *a >= threshold).collect();
+        let survivors = batch.filter(&mask).unwrap();
+        let scores = raven_ml::MlRuntime::new().run_batch(&pipeline, &survivors).unwrap();
+        let ids = survivors.column_by_name("id").unwrap();
+        let expected: Vec<(i64, u64)> = ids
+            .as_i64()
+            .unwrap()
+            .iter()
+            .zip(&scores)
+            .filter(|(_, s)| **s > score_cut)
+            .map(|(id, s)| (*id, s.to_bits()))
+            .collect();
+
+        let mut session = raven_core::RavenSession::new();
+        session.register_table(table);
+        session.register_model(pipeline);
+        session.config_mut().runtime_policy = raven_core::RuntimePolicy::NoTransform;
+        let query = format!(
+            "SELECT d.id, p.score FROM PREDICT(MODEL = risk_model, DATA = patients AS d) \
+             WITH (score float) AS p WHERE d.age >= {threshold} AND p.score > {score_cut}"
+        );
+        let out = session.sql(&query).unwrap();
+        let ids = out.batch.column_by_name("id").unwrap();
+        let scores = out.batch.column_by_name("score").unwrap();
+        let got: Vec<(i64, u64)> = ids
+            .as_i64()
+            .unwrap()
+            .iter()
+            .zip(scores.as_f64().unwrap())
+            .map(|(id, s)| (*id, s.to_bits()))
+            .collect();
+        prop_assert_eq!(got, expected);
+        prop_assert_eq!(out.report.intermediate_materializations, 0);
+    }
+}
+
+proptest! {
+    // More cases than its neighbours: a NaN reaches a tree split only in the
+    // cases that pick a tree model without an imputer or binarizer.
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
     /// The fused featurize→score pass is bit-identical to the per-operator
     /// interpreted path across random featurizer stacks (imputer / scaler /
     /// binarizer chains, one-hot and label encoders over string-, integer-
     /// and float-sourced categorical columns with unknown and NaN
     /// categories), empty batches, all three linear models, and tree
-    /// ensembles. The oracle is `run_batch` over the bare pipeline; the
-    /// per-operator path (`CompiledPipeline::per_operator`) must match too.
+    /// ensembles. Half of column `a` is model-directed, so NaN and the
+    /// values either side of a threshold reach the trees' splits on it. The
+    /// oracle is `run_batch` over the bare pipeline; the per-operator path
+    /// (`CompiledPipeline::per_operator`) must match too.
     #[test]
     fn fused_featurize_score_is_bit_identical(
         seed in 0u64..0xffff_ffff,
@@ -217,10 +317,21 @@ proptest! {
             LinearRegressionModel, LinearSvmModel, LogisticRegressionModel, Binarizer,
         };
         let mix = |k: u64| seed.rotate_left((k % 63) as u32).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        // the model's feature vector: a and b (after the numeric stack), then
+        // the encoded categorical
+        let width = 2 + if label_encode { 1 } else { 8 };
+        let trees: Vec<Tree> = (0..3)
+            .map(|t| random_tree(mix(t as u64 + 61), width, if model_kind == 3 { 3 } else { 5 }))
+            .collect();
         // --- source batch: two numerics (NaN-laced) + one categorical ---
+        // Every other row of `a` is model-directed: the thresholds the trees
+        // split feature 0 at, the next float above each, and NaN.
+        let probes = model_inputs::split_values(&trees, 0);
         let a: Vec<f64> = (0..rows)
             .map(|r| {
-                if r % nan_stride == 0 {
+                if r % 2 == 1 && !probes.is_empty() {
+                    probes[(r / 2) % probes.len()]
+                } else if r % nan_stride == 0 {
                     f64::NAN
                 } else {
                     ((mix(r as u64) % 97) as f64) - 48.0
@@ -331,7 +442,7 @@ proptest! {
             inputs: concat_inputs,
             output: "features".into(),
         });
-        let width = 2 + cat_width;
+        assert_eq!(width, 2 + cat_width);
         let weights: Vec<f64> = (0..width)
             .map(|i| (mix(i as u64 + 51) % 21) as f64 * 0.1 - 1.0)
             .collect();
@@ -348,10 +459,7 @@ proptest! {
                 weights,
                 intercept: 0.1,
             }),
-            k => {
-                let trees: Vec<Tree> = (0..3)
-                    .map(|t| random_tree(mix(t as u64 + 61), width, if k == 3 { 3 } else { 5 }))
-                    .collect();
+            _ => {
                 Operator::TreeEnsemble(TreeEnsemble {
                     kind: EnsembleKind::GradientBoostingClassifier,
                     trees,
@@ -410,95 +518,6 @@ proptest! {
                 "row {}: interpreted {} vs fused {}", r, interpreted[r], fused[r]
             );
         }
-    }
-
-    /// End-to-end: a full prediction query with an input and an output
-    /// predicate returns exactly the rows and scores of the interpreted
-    /// oracle — `MlRuntime::run_batch` over the unoptimized pipeline on the
-    /// filtered rows — and copies no batch mid-pipeline.
-    #[test]
-    fn session_scores_identically_to_the_interpreted_oracle(
-        rows in 20usize..120,
-        seed in 0u64..500,
-        threshold in 20.0f64..90.0,
-        score_cut in 0.0f64..1.0,
-    ) {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let table = TableBuilder::new("patients")
-            .add_i64("id", (0..rows as i64).collect())
-            .add_f64("age", (0..rows).map(|_| rng.gen_range(18.0..95.0)).collect())
-            .add_f64("rcount", (0..rows).map(|_| rng.gen_range(0.0..5.0)).collect())
-            .build()
-            .unwrap();
-        let tree = random_tree(seed | 1, 2, 3);
-        let pipeline = raven_ml::Pipeline::new(
-            "risk_model",
-            vec![
-                raven_ml::PipelineInput { name: "age".into(), kind: raven_ml::InputKind::Numeric },
-                raven_ml::PipelineInput { name: "rcount".into(), kind: raven_ml::InputKind::Numeric },
-            ],
-            vec![
-                raven_ml::PipelineNode {
-                    name: "concat".into(),
-                    op: raven_ml::Operator::Concat,
-                    inputs: vec!["age".into(), "rcount".into()],
-                    output: "features".into(),
-                },
-                raven_ml::PipelineNode {
-                    name: "model".into(),
-                    op: raven_ml::Operator::TreeEnsemble(TreeEnsemble {
-                        kind: EnsembleKind::GradientBoostingClassifier,
-                        trees: vec![tree.clone(), tree],
-                        n_features: 2,
-                        learning_rate: 0.3,
-                        base_score: 0.1,
-                    }),
-                    inputs: vec!["features".into()],
-                    output: "score".into(),
-                },
-            ],
-            "score",
-        )
-        .unwrap();
-
-        // the oracle: filter on age, score every survivor by walking the
-        // operator graph, then keep the rows whose score passes the cut
-        let batch = table.to_batch().unwrap();
-        let ages = batch.column_by_name("age").unwrap();
-        let mask: Vec<bool> = ages.as_f64().unwrap().iter().map(|a| *a >= threshold).collect();
-        let survivors = batch.filter(&mask).unwrap();
-        let scores = raven_ml::MlRuntime::new().run_batch(&pipeline, &survivors).unwrap();
-        let ids = survivors.column_by_name("id").unwrap();
-        let expected: Vec<(i64, u64)> = ids
-            .as_i64()
-            .unwrap()
-            .iter()
-            .zip(&scores)
-            .filter(|(_, s)| **s > score_cut)
-            .map(|(id, s)| (*id, s.to_bits()))
-            .collect();
-
-        let mut session = raven_core::RavenSession::new();
-        session.register_table(table);
-        session.register_model(pipeline);
-        session.config_mut().runtime_policy = raven_core::RuntimePolicy::NoTransform;
-        let query = format!(
-            "SELECT d.id, p.score FROM PREDICT(MODEL = risk_model, DATA = patients AS d) \
-             WITH (score float) AS p WHERE d.age >= {threshold} AND p.score > {score_cut}"
-        );
-        let out = session.sql(&query).unwrap();
-        let ids = out.batch.column_by_name("id").unwrap();
-        let scores = out.batch.column_by_name("score").unwrap();
-        let got: Vec<(i64, u64)> = ids
-            .as_i64()
-            .unwrap()
-            .iter()
-            .zip(scores.as_f64().unwrap())
-            .map(|(id, s)| (*id, s.to_bits()))
-            .collect();
-        prop_assert_eq!(got, expected);
-        prop_assert_eq!(out.report.intermediate_materializations, 0);
     }
 }
 
