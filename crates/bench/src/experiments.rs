@@ -757,9 +757,7 @@ pub const FUSED_PIPELINE_SPEEDUP_GATE: f64 = 1.5;
 /// compiled models (§4.2) — the configuration where per-request preparation
 /// (cross-optimization + compiling one specialized model per partition) is
 /// most expensive and the residual plan (scan one surviving partition, score
-/// it) is cheap, i.e. exactly what the plan and compiled-model caches
-/// amortize. The query's predicate is on `id` — not a model input — so query
-/// variants with different literals share one compiled-model cache entry.
+/// it) is cheap, i.e. exactly what the plan cache amortizes.
 pub fn serving_study(rows: usize, requests: usize, clients: usize) -> ServingStudyResult {
     use raven_serve::{Server, ServerConfig};
     use std::sync::Arc;
@@ -906,9 +904,9 @@ pub fn serving_study(rows: usize, requests: usize, clients: usize) -> ServingStu
     }
     let point_concurrent_qps = point_rows.len() as f64 / t.elapsed().as_secs_f64();
 
-    // 5. query variants: distinct literals are distinct plans (plan-cache
-    //    miss) but share one compiled-model cache entry, because `id` is not
-    //    a model input
+    // 5. query variants: distinct literals are distinct plans, so each is a
+    //    plan-cache miss that prepares (and compiles its partition models)
+    //    once
     for pct in [90, 92, 94, 96] {
         let variant = query.replace(
             &format!("d.id >= {id_threshold}"),

@@ -112,7 +112,7 @@ fn gather_statistics(plan: &LogicalPlan, catalog: &Catalog) -> TableStatistics {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use raven_columnar::{partition_by_column, PartitionSpec, TableBuilder};
     use raven_ml::{
@@ -122,7 +122,7 @@ mod tests {
 
     /// Tree splitting on raw age at 60: data whose max age is 50 can prune the
     /// right sub-tree entirely.
-    fn pipeline() -> Pipeline {
+    pub(crate) fn pipeline() -> Pipeline {
         let tree = Tree {
             nodes: vec![
                 TreeNode::Branch {
@@ -174,7 +174,7 @@ mod tests {
         .unwrap()
     }
 
-    fn young_table(ages: Vec<f64>) -> raven_columnar::Table {
+    pub(crate) fn young_table(ages: Vec<f64>) -> raven_columnar::Table {
         let n = ages.len() as i64;
         TableBuilder::new("hospital")
             .add_i64("id", (1..=n).collect())

@@ -34,8 +34,8 @@ pub use layout::{FeatureLayout, InputMapping};
 pub use mltodnn::{apply_ml_to_dnn, DnnPlan};
 pub use mltosql::{ensemble_to_sql, pipeline_to_sql, tree_to_sql};
 pub use session::{
-    BaselineMode, CompiledModels, ExecutionReport, ModelCacheHooks, PredictionOutput,
-    PreparedStatement, RavenConfig, RavenSession, RecoveryInfo, RuntimePolicy,
+    BaselineMode, ExecutionReport, PredictionOutput, PreparedStatement, RavenConfig, RavenSession,
+    RecoveryInfo, RuntimePolicy,
 };
 pub use stats::PipelineStats;
 pub use strategy::{

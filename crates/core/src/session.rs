@@ -194,34 +194,6 @@ pub struct PredictionOutput {
     pub report: ExecutionReport,
 }
 
-/// Per-partition models compiled at prepare time (data-induced §4.2),
-/// packaged so a serving tier can cache them independently of (and with a
-/// longer lifetime than) the plan cache. Since PR 5 the cache entry carries
-/// the fully compiled [`CompiledPipeline`]s — flattened tree arenas *and*
-/// the fused featurizer plan (lane programs, category tables) — so a
-/// model-cache hit skips every per-partition compilation step, not just the
-/// statistics-driven pruning.
-#[derive(Debug, Clone)]
-pub struct CompiledModels {
-    /// One specialized, fully compiled pipeline per partition of the
-    /// scanned table.
-    pub pipelines: Arc<Vec<CompiledPipeline>>,
-    /// The compilation report (partition-model count, pruned columns).
-    pub report: DataInducedReport,
-}
-
-/// Storage hooks a serving tier provides so per-partition compiled models are
-/// reused across prepared statements. The key is derived *inside* the session
-/// — scanned tables, catalog/registry epochs, and a structural hash of the
-/// optimized pipeline — so a hit is guaranteed to be byte-compatible with
-/// what compilation would have produced, and any registration invalidates it.
-pub struct ModelCacheHooks<'a> {
-    /// Look a compiled artifact up by key.
-    pub lookup: &'a mut dyn FnMut(&str) -> Option<CompiledModels>,
-    /// Store a freshly compiled artifact under its key.
-    pub store: &'a mut dyn FnMut(&str, &CompiledModels),
-}
-
 /// How the drive scores one stream element: the logical-to-physical
 /// transformation (§5), resolved once at prepare time. Every scorer takes a
 /// `(batch, selection)` element and appends the prediction as a full-length
@@ -690,30 +662,12 @@ impl RavenSession {
     /// statement can be executed repeatedly with
     /// [`RavenSession::execute_prepared`].
     pub fn prepare(&self, query: &str) -> Result<PreparedStatement> {
-        self.prepare_hooked(query, None)
-    }
-
-    /// [`RavenSession::prepare`] with serving-tier model-cache hooks.
-    pub fn prepare_hooked(
-        &self,
-        query: &str,
-        hooks: Option<&mut ModelCacheHooks<'_>>,
-    ) -> Result<PreparedStatement> {
         let plan = parse_prediction_query(query, &self.registry, &self.catalog)?;
-        self.prepare_plan_hooked(&plan, hooks)
+        self.prepare_plan(&plan)
     }
 
     /// Prepare an already-parsed unified plan (see [`RavenSession::prepare`]).
     pub fn prepare_plan(&self, plan: &UnifiedPlan) -> Result<PreparedStatement> {
-        self.prepare_plan_hooked(plan, None)
-    }
-
-    /// [`RavenSession::prepare_plan`] with serving-tier model-cache hooks.
-    pub fn prepare_plan_hooked(
-        &self,
-        plan: &UnifiedPlan,
-        mut hooks: Option<&mut ModelCacheHooks<'_>>,
-    ) -> Result<PreparedStatement> {
         let opt_start = Instant::now();
         let (optimized, transform, cross, mut data_induced, point_pipeline) =
             self.optimize_stages(plan)?;
@@ -723,7 +677,7 @@ impl RavenSession {
                 .map_err(|e| RavenError::Ml(e.to_string()))?,
         );
         let (scorer, fallback) =
-            self.lower_scorer(&optimized, transform, &mut data_induced, &mut hooks)?;
+            self.lower_scorer(&optimized, transform, &mut data_induced, &point_compiled)?;
         let data = self
             .relational_optimizer()
             .optimize(&self.data_side_plan(&optimized), &self.catalog)?;
@@ -981,7 +935,7 @@ impl RavenSession {
         plan: &UnifiedPlan,
         transform: TransformChoice,
         data_induced: &mut DataInducedReport,
-        hooks: &mut Option<&mut ModelCacheHooks<'_>>,
+        point: &CompiledPipeline,
     ) -> Result<(Scorer, bool)> {
         let attempt = match transform {
             TransformChoice::MlToSql => {
@@ -997,9 +951,9 @@ impl RavenSession {
         };
         match attempt {
             Ok(Some(scorer)) => Ok((scorer, false)),
-            Ok(None) => Ok((self.compiled_scorer(plan, data_induced, hooks)?, false)),
+            Ok(None) => Ok((self.compiled_scorer(plan, data_induced, point)?, false)),
             Err(RavenError::RuleNotApplicable(_)) => {
-                Ok((self.compiled_scorer(plan, data_induced, hooks)?, true))
+                Ok((self.compiled_scorer(plan, data_induced, point)?, true))
             }
             Err(e) => Err(e),
         }
@@ -1060,75 +1014,35 @@ impl RavenSession {
     /// table directly, it holds one pipeline per table partition,
     /// specialized to that partition's statistics (data-induced §4.2); the
     /// scan keeps table partition indices under pruning, so the drive can
-    /// pick each element's model by its source partition. When serving-tier
-    /// hooks are present, those models are looked up and stored under a key
-    /// derived from the scanned tables, the catalog/registry epochs, and a
-    /// structural hash of the optimized pipeline — identical key ⇒ identical
-    /// compilation input.
+    /// pick each element's model by its source partition. Otherwise it is
+    /// the one optimized pipeline, which is the point scorer's pipeline
+    /// unless global statistics pruned it, so that compilation is reused.
     fn compiled_scorer(
         &self,
         plan: &UnifiedPlan,
         data_induced: &mut DataInducedReport,
-        hooks: &mut Option<&mut ModelCacheHooks<'_>>,
+        point: &CompiledPipeline,
     ) -> Result<Scorer> {
-        let compile_all = |models: &[Pipeline]| -> Result<Arc<Vec<CompiledPipeline>>> {
-            models
-                .iter()
-                .map(|p| CompiledPipeline::compile(p).map_err(|e| RavenError::Ml(e.to_string())))
-                .collect::<Result<Vec<_>>>()
-                .map(Arc::new)
-        };
+        let compile =
+            |p: &Pipeline| CompiledPipeline::compile(p).map_err(|e| RavenError::Ml(e.to_string()));
         if self.config.enable_partition_models && matches!(plan.data, LogicalPlan::Scan { .. }) {
-            let key = hooks.as_ref().map(|_| self.model_cache_key(plan));
-            let cached = match (hooks.as_mut(), key.as_deref()) {
-                (Some(h), Some(k)) => (h.lookup)(k),
-                _ => None,
-            };
-            let compiled = match cached {
-                // a hit reuses the fully compiled artifacts — pruned
-                // pipelines, flat ensembles, and fused featurizer plans
-                Some(c) if c.pipelines.len() > 1 => Some(c),
-                _ => {
-                    let (models, report) = compile_partition_models(plan, &self.catalog)?;
-                    if models.len() > 1 {
-                        let compiled = CompiledModels {
-                            pipelines: compile_all(&models)?,
-                            report,
-                        };
-                        if let (Some(h), Some(k)) = (hooks.as_mut(), key.as_deref()) {
-                            (h.store)(k, &compiled);
-                        }
-                        Some(compiled)
-                    } else {
-                        None
-                    }
-                }
-            };
-            if let Some(c) = compiled {
-                data_induced.partition_models = c.report.partition_models;
+            let (models, report) = compile_partition_models(plan, &self.catalog)?;
+            if models.len() > 1 {
+                data_induced.partition_models = report.partition_models;
                 data_induced.avg_pruned_columns_per_partition =
-                    c.report.avg_pruned_columns_per_partition;
-                return Ok(Scorer::Compiled(c.pipelines));
+                    report.avg_pruned_columns_per_partition;
+                let compiled = models.iter().map(compile).collect::<Result<Vec<_>>>()?;
+                return Ok(Scorer::Compiled(Arc::new(compiled)));
             }
         }
-        Ok(Scorer::Compiled(compile_all(std::slice::from_ref(
-            &plan.pipeline,
-        ))?))
-    }
-
-    /// The compiled-model cache key for a plan's partition models. Includes
-    /// everything compilation reads: which tables feed the scan (and their
-    /// registration epoch, which covers statistics), the registry epoch, and
-    /// a structural hash of the optimized pipeline (which already reflects
-    /// the query's cross-optimizations).
-    fn model_cache_key(&self, plan: &UnifiedPlan) -> String {
-        let hash = raven_ir::fnv1a(format!("{:?}", plan.pipeline).as_bytes());
-        format!(
-            "{}@c{}r{}#p{hash:016x}",
-            plan.data.referenced_tables().join(","),
-            self.catalog.epoch(),
-            self.registry.epoch()
-        )
+        // `apply_global_data_induced` leaves the pipeline untouched unless it
+        // reports pruning, so the point scorer's compilation is this one
+        let compiled = if data_induced.global_pruning_applied {
+            compile(&plan.pipeline)?
+        } else {
+            point.clone()
+        };
+        Ok(Scorer::Compiled(Arc::new(vec![compiled])))
     }
 }
 
@@ -1712,6 +1626,41 @@ mod tests {
                 .as_f64()
                 .unwrap()[0];
             assert!((0.0..=1.0).contains(&avg), "{policy:?}: {avg}");
+        }
+    }
+
+    /// Without statistics pruning the ML-runtime scorer is the point
+    /// scorer's compilation, shared; once global statistics prune the model
+    /// the two are separate pipelines.
+    #[test]
+    fn compiled_scorer_reuses_point_scorer_unless_statistics_pruned() {
+        use crate::data_induced::tests::{pipeline, young_table};
+        let query = "SELECT d.id, p.risk FROM PREDICT(MODEL = m, DATA = hospital AS d) \
+                     WITH (risk float) AS p";
+        // ages 25..80 and rcount 0..2 reach every branch; ages up to 50 with
+        // rcount 0..2 never take the age split's right branch
+        for (ages, pruned) in [
+            (vec![25.0, 80.0, 70.0], false),
+            (vec![25.0, 40.0, 50.0], true),
+        ] {
+            let mut session = RavenSession::with_config(RavenConfig {
+                runtime_policy: RuntimePolicy::NoTransform,
+                ..RavenConfig::default()
+            });
+            session.register_table(young_table(ages));
+            session.register_model(pipeline());
+            let prepared = session.prepare(query).unwrap();
+            assert_eq!(prepared.data_induced.global_pruning_applied, pruned);
+            let Scorer::Compiled(models) = &prepared.scorer else {
+                panic!("NoTransform lowers to the ML runtime");
+            };
+            assert_eq!(models.len(), 1);
+            let shared = Arc::ptr_eq(models[0].pipeline(), prepared.point_scorer().pipeline());
+            assert_eq!(shared, !pruned, "pruned: {pruned}");
+            assert_eq!(
+                *models[0].pipeline() == *prepared.point_scorer().pipeline(),
+                !pruned
+            );
         }
     }
 }

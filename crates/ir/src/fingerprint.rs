@@ -70,8 +70,7 @@ fn canonical_form(parsed: &ParsedQuery) -> String {
     out
 }
 
-/// 64-bit FNV-1a — dependency-free and deterministic across processes. Also
-/// used by the session's compiled-model cache keys.
+/// 64-bit FNV-1a — dependency-free and deterministic across processes.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for b in bytes {

@@ -44,9 +44,9 @@ impl Catalog {
         }
     }
 
-    /// Monotonic version counter, bumped on every registration. Prepared-plan
-    /// and compiled-model caches compare epochs to detect that a cached
-    /// artifact was derived from a stale catalog.
+    /// Monotonic version counter, bumped on every registration. The serving
+    /// tier's plan cache compares epochs to detect that a cached statement
+    /// was derived from a stale catalog.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }

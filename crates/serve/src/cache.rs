@@ -1,12 +1,10 @@
 //! Bounded caches for the serving layer, with frequency-aware admission.
 //!
-//! Two caches share this structure: the **plan cache** (query fingerprint →
-//! prepared statement) and the **compiled-model cache** (model/table identity
-//! → compiled per-partition pipelines). Both key on content identity and are
-//! invalidated by the catalog/registry epoch counters: an entry prepared
-//! against epoch *e* stops serving the moment the live epoch moves past *e*,
-//! so a stale plan can never produce a result (satellite requirement:
-//! re-registering a table or model must not serve stale artifacts).
+//! The serving tier's **plan cache** (query fingerprint → prepared statement
+//! and its SQL text) runs on this structure. Its entries are invalidated by
+//! the catalog/registry epoch counters: an entry prepared against epoch *e*
+//! stops serving the moment the live epoch moves past *e*, so a stale plan
+//! can never produce a result after a table or model is re-registered.
 //!
 //! ## Admission policy
 //!
@@ -169,22 +167,13 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         self.entries.remove(key).map(|(v, _)| v)
     }
 
-    /// Every live key, most-recently-used first. Used to persist the hot
-    /// plan fingerprints at snapshot time so a warm restart can re-prepare
-    /// them in recency order.
-    pub fn keys_by_recency(&self) -> Vec<K> {
-        let mut keyed: Vec<(&K, u64)> = self
-            .entries
-            .iter()
-            .map(|(k, (_, touched))| (k, *touched))
-            .collect();
-        keyed.sort_by_key(|&(_, touched)| std::cmp::Reverse(touched));
-        keyed.into_iter().map(|(k, _)| k.clone()).collect()
-    }
-
-    /// Whether a key is present (no recency touch).
-    pub fn contains_key(&self, key: &K) -> bool {
-        self.entries.contains_key(key)
+    /// Every live value, most-recently-used first, without touching
+    /// recency. Used to persist the hot plans at snapshot time so a warm
+    /// restart can re-prepare them in recency order.
+    pub fn values_by_recency(&self) -> Vec<&V> {
+        let mut values: Vec<&(V, u64)> = self.entries.values().collect();
+        values.sort_by_key(|&(_, touched)| std::cmp::Reverse(*touched));
+        values.into_iter().map(|(v, _)| v).collect()
     }
 
     /// Drop every entry (bulk invalidation).
@@ -235,15 +224,15 @@ mod tests {
     }
 
     #[test]
-    fn keys_by_recency_is_mru_first() {
+    fn values_by_recency_is_mru_first() {
         let mut c = LruCache::new(4);
         c.insert("a", 1);
         c.insert("b", 2);
         c.insert("c", 3);
         assert_eq!(c.get(&"a"), Some(&1)); // a becomes most recent
-        assert_eq!(c.keys_by_recency(), vec!["a", "c", "b"]);
-        assert!(c.contains_key(&"b"));
-        assert!(!c.contains_key(&"z"));
+        assert_eq!(c.values_by_recency(), vec![&1, &3, &2]);
+        // reading the order does not touch recency
+        assert_eq!(c.values_by_recency(), vec![&1, &3, &2]);
     }
 
     #[test]

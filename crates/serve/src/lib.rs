@@ -11,11 +11,11 @@
 //!   server's **plan cache**): `prepare` runs parse → cross-optimization →
 //!   data-induced optimization → lowering (SQL generation / DNN compilation /
 //!   per-partition model compilation) exactly once, keyed by a normalized
-//!   query fingerprint ([`raven_ir::fingerprint_query`]) in an LRU cache. A
-//!   companion **compiled-model cache** shares per-partition compiled models
-//!   across statements. Both caches are invalidated by the catalog/registry
-//!   epoch counters, so re-registering a table or model can never serve a
-//!   stale plan, and cold misses are **single-flight**: concurrent requests
+//!   query fingerprint ([`raven_ir::fingerprint_query`]) in an LRU cache —
+//!   the server's one store of prepared work, per-partition models included.
+//!   Entries are invalidated by the catalog/registry epoch counters, so
+//!   re-registering a table or model can never serve a stale plan, and cold
+//!   misses are **single-flight**: concurrent requests
 //!   for one `(fingerprint, epoch)` elect a leader to prepare while the rest
 //!   wait on a per-key latch and share the result — a cold-miss stampede
 //!   performs exactly one prepare.
@@ -54,7 +54,7 @@
 //! ([`ServerConfig::compaction_threshold`]) runs off-thread without ever
 //! blocking serving reads. Because the journal carries the post-apply epoch
 //! counters, a warm restart resumes the pre-crash epochs and the
-//! epoch-keyed caches can never serve a stale compiled model.
+//! epoch-keyed plan cache can never serve a stale prepared statement.
 
 pub mod cache;
 pub mod error;

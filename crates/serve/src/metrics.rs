@@ -97,8 +97,6 @@ pub struct ServingMetrics {
     plan_cache_hits: AtomicU64,
     plan_cache_misses: AtomicU64,
     single_flight_waits: AtomicU64,
-    model_cache_hits: AtomicU64,
-    model_cache_misses: AtomicU64,
     micro_batches: AtomicU64,
     coalesced_batches: AtomicU64,
     coalesced_points: AtomicU64,
@@ -192,14 +190,6 @@ impl ServingMetrics {
     /// epoch) instead of preparing itself (single-flight).
     pub(crate) fn record_single_flight_wait(&self) {
         self.single_flight_waits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_model_cache(&self, hit: bool) {
-        if hit {
-            self.model_cache_hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.model_cache_misses.fetch_add(1, Ordering::Relaxed);
-        }
     }
 
     pub(crate) fn record_micro_batch(&self, coalesced_requests: usize) {
@@ -368,8 +358,8 @@ impl ServingMetrics {
             plan_cache_hits: self.plan_cache_hits.load(Ordering::Relaxed),
             plan_cache_misses: self.plan_cache_misses.load(Ordering::Relaxed),
             single_flight_waits: self.single_flight_waits.load(Ordering::Relaxed),
-            model_cache_hits: self.model_cache_hits.load(Ordering::Relaxed),
-            model_cache_misses: self.model_cache_misses.load(Ordering::Relaxed),
+            model_cache_hits: 0,
+            model_cache_misses: 0,
             micro_batches: self.micro_batches.load(Ordering::Relaxed),
             coalesced_batches: self.coalesced_batches.load(Ordering::Relaxed),
             coalesced_points: self.coalesced_points.load(Ordering::Relaxed),
@@ -425,9 +415,11 @@ pub struct ServingReport {
     /// Requests that joined another request's in-flight prepare for the same
     /// (fingerprint, epoch) instead of preparing themselves.
     pub single_flight_waits: u64,
-    /// Compiled-model cache hits.
+    /// Always 0: the server keeps no compiled-model cache since the plan
+    /// cache became its only store of prepared work. Kept for readers of
+    /// the report's fields.
     pub model_cache_hits: u64,
-    /// Compiled-model cache misses.
+    /// Always 0, like [`ServingReport::model_cache_hits`].
     pub model_cache_misses: u64,
     /// Micro-batches driven through the pipeline (each covers ≥ 1 point
     /// request).
@@ -541,14 +533,11 @@ impl std::fmt::Display for ServingReport {
         )?;
         writeln!(
             f,
-            "plan cache: {} hits / {} misses ({:.0}% hit rate), {} single-flight waits; \
-             model cache: {} hits / {} misses",
+            "plan cache: {} hits / {} misses ({:.0}% hit rate), {} single-flight waits",
             self.plan_cache_hits,
             self.plan_cache_misses,
             self.plan_cache_hit_rate() * 100.0,
-            self.single_flight_waits,
-            self.model_cache_hits,
-            self.model_cache_misses
+            self.single_flight_waits
         )?;
         write!(
             f,

@@ -1,7 +1,6 @@
 //! The prediction server: a multi-threaded request scheduler over a shared
-//! [`RavenSession`], with a prepared-plan cache, a compiled-model cache,
-//! cross-request SQL fusion, point request micro-batching, tenant QoS, and
-//! admission control.
+//! [`RavenSession`], with a prepared-plan cache, cross-request SQL fusion,
+//! point request micro-batching, tenant QoS, and admission control.
 //!
 //! ## Concurrency model
 //!
@@ -18,7 +17,7 @@
 //! of help-while-waiting on other queries' partition tasks, so scheduler
 //! threads stay available to admit, coalesce, and fuse while long queries
 //! are in flight. Registration takes the write lock, bumps the epoch
-//! counters, and clears both caches; statements prepared against an older
+//! counters, and clears the plan cache; statements prepared against an older
 //! epoch are discarded on lookup even if they survived the clear (cache
 //! entries are validated against the live epochs on every hit).
 //!
@@ -58,8 +57,7 @@ use crate::sync::{self, MutexExt, RwLockExt};
 use raven_columnar::pool;
 use raven_columnar::{Batch, Field, Schema, Value};
 use raven_core::{
-    CompiledModels, ModelCacheHooks, PredictionOutput, PreparedStatement, RavenConfig, RavenError,
-    RavenSession, RecoveryInfo,
+    PredictionOutput, PreparedStatement, RavenConfig, RavenError, RavenSession, RecoveryInfo,
 };
 use raven_ir::fingerprint_query;
 use raven_ml::MlRuntime;
@@ -93,8 +91,6 @@ pub struct ServerConfig {
     pub micro_batch_wait: Duration,
     /// Capacity of the prepared-plan LRU cache.
     pub plan_cache_capacity: usize,
-    /// Capacity of the compiled-model LRU cache.
-    pub model_cache_capacity: usize,
     /// Durable data directory for [`Server::open_durable`]. `None` falls
     /// back to the `RAVEN_DATA_DIR` environment variable.
     pub data_dir: Option<PathBuf>,
@@ -146,7 +142,6 @@ impl Default for ServerConfig {
             micro_batch_size: 8,
             micro_batch_wait: Duration::from_micros(200),
             plan_cache_capacity: 64,
-            model_cache_capacity: 128,
             data_dir: None,
             prewarm_plans: 16,
             compaction_threshold: 512,
@@ -272,6 +267,13 @@ struct Flight {
     ready: Condvar,
 }
 
+/// A plan-cache entry: a prepared statement and a SQL text it was prepared
+/// from.
+struct PlanEntry {
+    sql: String,
+    prepared: Arc<PreparedStatement>,
+}
+
 /// Per-fingerprint circuit-breaker state.
 struct Breaker {
     /// Consecutive breaker-counted failures. Saturates at the threshold and
@@ -284,19 +286,13 @@ struct Breaker {
 
 pub(crate) struct ServerInner {
     session: RwLock<RavenSession>,
-    plan_cache: Mutex<LruCache<String, Arc<PreparedStatement>>>,
-    /// Per-partition compiled artifacts, shared across prepared statements:
-    /// each entry carries fully compiled pipelines — flattened tree arenas
-    /// *and* fused featurizer plans — so a hit skips per-partition pruning
-    /// and kernel compilation entirely.
-    model_cache: Mutex<LruCache<String, CompiledModels>>,
+    /// Canonical fingerprint → the prepared statement and a SQL text it was
+    /// prepared from: the canonical form is *not* re-parseable, so the
+    /// snapshot persists these SQL strings for warm-restart pre-warm.
+    plan_cache: Mutex<LruCache<String, PlanEntry>>,
     /// Single-flight prepares in progress, keyed by
     /// `fingerprint @ (catalog epoch, registry epoch)`.
     inflight: Mutex<HashMap<String, Arc<Flight>>>,
-    /// Representative original SQL text per plan-cache fingerprint: the plan
-    /// cache keys on the canonical form, which is *not* re-parseable, so the
-    /// snapshot persists these SQL strings for warm-restart pre-warm.
-    plan_sql: Mutex<HashMap<String, String>>,
     /// Background snapshot-compaction worker, at most one in flight.
     compaction: Mutex<Option<JoinHandle<()>>>,
     /// Per-fingerprint circuit breakers: repeatedly failing queries
@@ -340,9 +336,7 @@ impl Server {
         let inner = Arc::new(ServerInner {
             session: RwLock::new(session),
             plan_cache: Mutex::new(LruCache::new(config.plan_cache_capacity)),
-            model_cache: Mutex::new(LruCache::new(config.model_cache_capacity)),
             inflight: Mutex::new(HashMap::new()),
-            plan_sql: Mutex::new(HashMap::new()),
             compaction: Mutex::new(None),
             breakers: Mutex::new(HashMap::new()),
             degraded: Mutex::new(None),
@@ -428,24 +422,11 @@ impl Server {
         prewarmed
     }
 
-    /// The original SQL of every live plan-cache entry, most-recently-used
-    /// first — what the snapshot persists for warm-restart pre-warm. Also
-    /// prunes the fingerprint → SQL side map down to live entries.
-    fn hot_plan_sqls(&self) -> Vec<String> {
-        let cache = self.inner.plan_cache.plock();
-        let keys = cache.keys_by_recency();
-        let mut plan_sql = self.inner.plan_sql.plock();
-        plan_sql.retain(|k, _| cache.contains_key(k));
-        keys.iter()
-            .filter_map(|k| plan_sql.get(k).cloned())
-            .collect()
-    }
-
     /// Snapshot the current catalog + registry (with the hot plan list) and
     /// compact the journal, synchronously. Errors when the underlying
     /// session is not durable. Returns the snapshot size in bytes.
     pub fn snapshot_now(&self) -> Result<u64> {
-        let plans = self.hot_plan_sqls();
+        let plans = hot_plan_sqls(&self.inner.plan_cache.plock());
         // clone the session under the read lock (cheap Arc clones), snapshot
         // outside it so readers are never blocked on snapshot encoding
         let session = self.inner.session.pread().clone();
@@ -456,8 +437,9 @@ impl Server {
     /// has grown past the configured threshold and no compaction is already
     /// running. Serving reads are never blocked: the worker clones the
     /// session state and only the final journal rewrite holds the store's
-    /// append lock.
-    fn maybe_compact(&self) {
+    /// append lock. `plans` is the hot plan list the registration's
+    /// invalidation took from the plan cache before clearing it.
+    fn maybe_compact(&self, plans: Vec<String>) {
         let threshold = self.inner.config.compaction_threshold;
         if threshold == 0 {
             return;
@@ -485,7 +467,6 @@ impl Server {
             }
             let _ = handle.join();
         }
-        let plans = self.hot_plan_sqls();
         let session = self.inner.session.pread().clone();
         *slot = Some(std::thread::spawn(move || {
             // failure here is non-fatal: the journal keeps the state safe,
@@ -669,7 +650,7 @@ impl Server {
 
     /// Register (or replace) a table: takes the session write lock, journals
     /// the registration on a durable session, bumps the catalog epoch, and
-    /// clears both caches.
+    /// clears the plan cache.
     pub fn register_table(&self, table: raven_columnar::Table) -> Result<()> {
         self.check_writable()?;
         let mut s = self.inner.session.pwrite();
@@ -680,15 +661,15 @@ impl Server {
         // clear while still holding the write lock: no reader can slip a
         // fresh new-epoch entry in between the bump and the clear (which the
         // clear would wipe, forcing a second prepare for that epoch)
-        self.invalidate_caches();
+        let plans = self.invalidate_plans();
         drop(s);
-        self.maybe_compact();
+        self.maybe_compact(plans);
         Ok(())
     }
 
     /// Register (or replace) a model: takes the session write lock, journals
     /// the registration on a durable session, bumps the registry epoch, and
-    /// clears both caches.
+    /// clears the plan cache.
     pub fn register_model(&self, pipeline: raven_ml::Pipeline) -> Result<()> {
         self.check_writable()?;
         let mut s = self.inner.session.pwrite();
@@ -696,9 +677,9 @@ impl Server {
             drop(s);
             return Err(self.mutation_failed(e));
         }
-        self.invalidate_caches();
+        let plans = self.invalidate_plans();
         drop(s);
-        self.maybe_compact();
+        self.maybe_compact(plans);
         Ok(())
     }
 
@@ -746,9 +727,13 @@ impl Server {
         *probe = Some(std::thread::spawn(move || probe_loop(inner)));
     }
 
-    fn invalidate_caches(&self) {
-        self.inner.plan_cache.plock().clear();
-        self.inner.model_cache.plock().clear();
+    /// Clear the plan cache, returning the SQL of the entries it held (most
+    /// recently used first) for a compaction this registration may start.
+    fn invalidate_plans(&self) -> Vec<String> {
+        let mut cache = self.inner.plan_cache.plock();
+        let plans = hot_plan_sqls(&cache);
+        cache.clear();
+        plans
     }
 
     /// Read access to the underlying session (for harnesses and tests).
@@ -1254,9 +1239,8 @@ fn score_rows(
         .collect())
 }
 
-/// Plan-cache lookup with epoch validation; prepares (and caches) on miss,
-/// wiring the compiled-model cache into the session's lowering hooks. The
-/// caller passes the session guard it already holds, so the returned
+/// Plan-cache lookup with epoch validation; prepares (and caches) on miss.
+/// The caller passes the session guard it already holds, so the returned
 /// statement is guaranteed fresh for as long as that guard lives.
 ///
 /// Cold misses are **single-flight**: concurrent requests for one
@@ -1413,18 +1397,6 @@ fn check_epoch_coherence(
     Ok(())
 }
 
-/// Parse the `@c<cat>r<reg>#` epoch segment of a compiled-model cache key
-/// (format `{tables}@c{cat}r{reg}#p{hash}`, minted by the session's model
-/// lowering). `None` for keys without the segment.
-fn parse_key_epochs(key: &str) -> Option<(u64, u64)> {
-    let rest = &key[key.rfind("@c")? + 2..];
-    let r = rest.find('r')?;
-    let hash = rest.find('#')?;
-    let cat = rest[..r].parse().ok()?;
-    let reg = rest[r + 1..hash].parse().ok()?;
-    Some((cat, reg))
-}
-
 /// Probe the plan cache for an entry prepared at exactly the given epochs;
 /// evicts a stale entry in passing. Does not touch the metrics — callers
 /// record hit/miss themselves.
@@ -1435,9 +1407,9 @@ fn cached_fresh(
     reg_epoch: u64,
 ) -> Option<Arc<PreparedStatement>> {
     let mut cache = inner.plan_cache.plock();
-    if let Some(entry) = cache.get(&canonical.to_string()) {
-        if entry.catalog_epoch() == cat_epoch && entry.registry_epoch() == reg_epoch {
-            return Some(entry.clone());
+    if let Some(PlanEntry { prepared, .. }) = cache.get(&canonical.to_string()) {
+        if prepared.catalog_epoch() == cat_epoch && prepared.registry_epoch() == reg_epoch {
+            return Some(prepared.clone());
         }
         // stale: prepared against an older catalog/registry
         cache.remove(&canonical.to_string());
@@ -1445,63 +1417,35 @@ fn cached_fresh(
     None
 }
 
-/// The actual prepare a single-flight leader performs: lower the statement
-/// with the compiled-model cache wired into the session's hooks, then publish
-/// it in the plan cache.
+/// The actual prepare a single-flight leader performs: prepare the
+/// statement, then publish it in the plan cache with its SQL text.
 fn prepare_uncached(
     inner: &ServerInner,
     session: &RavenSession,
     canonical: &str,
     sql: &str,
 ) -> Result<Arc<PreparedStatement>> {
-    let (cat_epoch, reg_epoch) = (session.catalog().epoch(), session.registry().epoch());
-    let mut lookup = |key: &str| {
-        let hit = inner.model_cache.plock().get(&key.to_string()).cloned();
-        // Epoch coherence (debug / RAVEN_VERIFY=strict): the key's minted
-        // epochs must match the live session, or the hit would hand back
-        // models compiled against a dropped table/model version. The hooks
-        // cannot error, so a stale hit degrades to a miss (recompile fresh)
-        // after tripping the debug assertion.
-        let hit = match hit {
-            Some(_)
-                if (cfg!(debug_assertions) || raven_columnar::envcfg::verify_strict())
-                    && parse_key_epochs(key)
-                        .is_some_and(|(c, r)| c != cat_epoch || r != reg_epoch) =>
-            {
-                debug_assert!(
-                    false,
-                    "model-cache hit at stale epochs: {key} vs live c{cat_epoch}r{reg_epoch}"
-                );
-                None
-            }
-            other => other,
-        };
-        inner.metrics.record_model_cache(hit.is_some());
-        hit
-    };
-    let mut store = |key: &str, models: &CompiledModels| {
-        inner
-            .model_cache
-            .plock()
-            .insert(key.to_string(), models.clone());
-    };
-    let mut hooks = ModelCacheHooks {
-        lookup: &mut lookup,
-        store: &mut store,
-    };
     serve_fault("serve.prepare")?;
-    let prepared = Arc::new(session.prepare_hooked(sql, Some(&mut hooks))?);
-    inner
-        .plan_cache
-        .plock()
-        .insert(canonical.to_string(), prepared.clone());
-    // remember a re-parseable SQL text for this fingerprint so a snapshot
-    // can persist it for warm-restart pre-warm
-    inner
-        .plan_sql
-        .plock()
-        .insert(canonical.to_string(), sql.to_string());
+    let prepared = Arc::new(session.prepare(sql)?);
+    inner.plan_cache.plock().insert(
+        canonical.to_string(),
+        PlanEntry {
+            sql: sql.to_string(),
+            prepared: prepared.clone(),
+        },
+    );
     Ok(prepared)
+}
+
+/// The SQL of every plan-cache entry, most-recently-used first — what the
+/// snapshot persists for warm-restart pre-warm. Reading it does not touch
+/// recency.
+fn hot_plan_sqls(cache: &LruCache<String, PlanEntry>) -> Vec<String> {
+    cache
+        .values_by_recency()
+        .into_iter()
+        .map(|entry| entry.sql.clone())
+        .collect()
 }
 
 /// Deliver a result to a ticket and settle the request's accounting.

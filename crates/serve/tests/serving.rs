@@ -2,7 +2,7 @@
 //! epoch invalidation, micro-batched point scoring, admission control, and
 //! concurrent-client parity with direct session execution.
 
-use raven_columnar::{Table, TableBuilder, Value};
+use raven_columnar::{partition_by_column, PartitionSpec, Table, TableBuilder, Value};
 use raven_core::{RavenConfig, RavenSession, RuntimePolicy};
 use raven_ml::{
     InputKind, MlRuntime, Operator, Pipeline, PipelineInput, PipelineNode, Tree, TreeEnsemble,
@@ -667,4 +667,92 @@ fn fusion_off_pins_one_drive_per_request() {
     let report = server.report();
     assert_eq!(report.fused_groups, 0, "{report}");
     assert_eq!(report.sql_requests_fused, 0);
+}
+
+/// `(id, score bits)` pairs of a result, sorted by id.
+fn id_score_bits(batch: &raven_columnar::Batch) -> Vec<(i64, u64)> {
+    let ids = batch.column_by_name("id").unwrap().as_i64().unwrap();
+    let risk = batch.column_by_name("risk").unwrap().as_f64().unwrap();
+    let mut rows: Vec<(i64, u64)> = ids
+        .iter()
+        .zip(risk.iter())
+        .map(|(&id, r)| (id, r.to_bits()))
+        .collect();
+    rows.sort_unstable();
+    rows
+}
+
+/// Per-partition models (§4.2) through the server: a session with
+/// `enable_partition_models` over a table range-partitioned on the model's
+/// `age` input. Queries whose literals differ on `id`, which the model does
+/// not read, serve what the session and the unoptimized configuration
+/// return, bit for bit; a table registration re-prepares them against the
+/// new data.
+#[test]
+fn partition_models_serve_like_the_session() {
+    let partitioned = |age_lo, age_hi| {
+        partition_by_column(
+            &patients(200, age_lo, age_hi),
+            &PartitionSpec::ByRange {
+                column: "age".into(),
+                partitions: 4,
+            },
+        )
+        .unwrap()
+    };
+    let config = RavenConfig {
+        runtime_policy: RuntimePolicy::NoTransform,
+        enable_partition_models: true,
+        ..Default::default()
+    };
+    let session_over = |table: &Table, config: RavenConfig| {
+        let mut s = RavenSession::with_config(config);
+        s.register_table(table.clone());
+        s.register_model(risk_pipeline("risk_model", 0.9));
+        s
+    };
+    let queries: Vec<String> = [20, 120]
+        .iter()
+        .map(|id| {
+            format!(
+                "SELECT d.id, p.risk FROM PREDICT(MODEL = risk_model, DATA = patients AS d) \
+                 WITH (risk float) AS p WHERE d.id >= {id}"
+            )
+        })
+        .collect();
+    let old = partitioned(20.0, 90.0);
+    let new = partitioned(55.0, 99.0);
+    let server = Server::new(
+        session_over(&old, config.clone()),
+        ServerConfig {
+            worker_threads: 2,
+            ..Default::default()
+        },
+    );
+    for (version, table) in [&old, &new].into_iter().enumerate() {
+        if version > 0 {
+            server.register_table(table.clone()).unwrap();
+        }
+        let reference = session_over(table, config.clone());
+        let no_opt = session_over(table, RavenConfig::no_opt());
+        for q in &queries {
+            let served = id_score_bits(&server.sql(q).unwrap().batch);
+            assert!(!served.is_empty());
+            assert_eq!(served, id_score_bits(&reference.sql(q).unwrap().batch));
+            assert_eq!(served, id_score_bits(&no_opt.sql(q).unwrap().batch));
+        }
+        assert_eq!(
+            server.report().plan_cache_misses,
+            (version as u64 + 1) * queries.len() as u64,
+            "each query prepares once per table version"
+        );
+        let explain = server.with_session(|s| s.explain_prepared(&s.prepare(&queries[0]).unwrap()));
+        let models: usize = explain
+            .split("partition models: ")
+            .nth(1)
+            .and_then(|rest| rest.split_whitespace().next())
+            .and_then(|n| n.parse().ok())
+            .unwrap();
+        assert!(models > 1, "{explain}");
+    }
 }

@@ -26,9 +26,9 @@
 //! and model definitions. Statistics and compiled pipelines are *derived*
 //! and are recomputed on load — persisted statistics serve as a cross-check
 //! (debug builds verify min/max/NDV per column and raise
-//! [`StorageError::StaleStats`] on disagreement), and compiled-model /
-//! prepared-plan caches are rebuilt by pre-warming the persisted plan
-//! fingerprints through the normal prepare path.
+//! [`StorageError::StaleStats`] on disagreement), and the serving tier's
+//! plan cache is rebuilt by pre-warming the persisted plan SQL through the
+//! normal prepare path.
 //!
 //! ## Epoch invariants
 //!

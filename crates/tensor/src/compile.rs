@@ -434,7 +434,7 @@ fn compile_traversal_tree(tree: &Tree) -> TraversalTree {
 
 fn eval_gemm_tree(x: &Tensor, tree: &GemmTree) -> Result<Vec<f64>> {
     // S = (X · A) <= B  (per internal node decision)
-    let xa = x.matmul(&tree.a)?;
+    let xa = node_inputs(x, &tree.a)?;
     let s = xa.zip_broadcast(&tree.b, |v, t| if v <= t { 1.0 } else { 0.0 })?;
     // E = S · C ; leaf selected where E == D
     let e = s.matmul(&tree.c)?;
@@ -442,6 +442,41 @@ fn eval_gemm_tree(x: &Tensor, tree: &GemmTree) -> Result<Vec<f64>> {
     // output = Z · leaf_values
     let out = z.matmul(&tree.e)?;
     Ok(out.data().to_vec())
+}
+
+/// `X · A` summed over `A`'s nonzeros only. `A` holds one 1 per internal
+/// node's column, at the node's split feature, so every node reads exactly
+/// its own feature. The dense product would also add `NaN·0` and `inf·0`
+/// (both NaN) from every other feature: one non-finite cell would make every
+/// node's input in its row NaN and send the whole row right.
+fn node_inputs(x: &Tensor, a: &Tensor) -> Result<Tensor> {
+    if x.cols() != a.rows() {
+        return Err(TensorError::Shape(format!(
+            "node inputs {}x{} * {}x{}",
+            x.rows(),
+            x.cols(),
+            a.rows(),
+            a.cols()
+        )));
+    }
+    let nonzeros: Vec<Vec<(usize, f64)>> = (0..a.cols())
+        .map(|j| {
+            (0..a.rows())
+                .map(|k| (k, a.get(k, j)))
+                .filter(|&(_, w)| w != 0.0)
+                .collect()
+        })
+        .collect();
+    let mut data = Vec::with_capacity(x.rows() * a.cols());
+    for r in 0..x.rows() {
+        let row = &x.data()[r * x.cols()..(r + 1) * x.cols()];
+        data.extend(
+            nonzeros
+                .iter()
+                .map(|column| column.iter().fold(0.0, |acc, &(k, w)| acc + row[k] * w)),
+        );
+    }
+    Tensor::new(x.rows(), a.cols(), data)
 }
 
 fn eval_traversal_tree(x: &Tensor, tree: &TraversalTree) -> Vec<f64> {

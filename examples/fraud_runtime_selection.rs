@@ -36,10 +36,10 @@ fn main() {
     let query = "SELECT d.id, p.fraud_score \
                  FROM PREDICT(MODEL = fraud_model, DATA = transactions AS d) \
                  WITH (fraud_score float) AS p \
-                 WHERE p.fraud_score >= 0.9";
+                 WHERE p.fraud_score >= 0.8";
 
     println!("{:<34} {:>12} {:>10}", "configuration", "time (ms)", "rows");
-    let mut reference_rows = None;
+    let mut reference: Option<Vec<(i64, f64)>> = None;
     for (label, policy, device) in [
         (
             "ML runtime (no transform)",
@@ -71,10 +71,36 @@ fn main() {
         session.config_mut().device = device;
         let out = session.sql(query).expect("query runs");
         let rows = out.report.output_rows;
-        if let Some(r) = reference_rows {
-            assert_eq!(r, rows, "all runtimes must return the same flagged rows");
+        let ids = out
+            .batch
+            .column_by_name("id")
+            .expect("id")
+            .as_i64()
+            .expect("ids");
+        let scores = out
+            .batch
+            .column_by_name("fraud_score")
+            .expect("score")
+            .as_f64()
+            .expect("scores");
+        let mut flagged: Vec<(i64, f64)> =
+            ids.iter().copied().zip(scores.iter().copied()).collect();
+        flagged.sort_by_key(|&(id, _)| id);
+        if let Some(expected) = &reference {
+            assert_eq!(
+                flagged.iter().map(|&(id, _)| id).collect::<Vec<_>>(),
+                expected.iter().map(|&(id, _)| id).collect::<Vec<_>>(),
+                "all runtimes must flag the same transactions"
+            );
+            for (&(id, got), &(_, want)) in flagged.iter().zip(expected) {
+                assert!(
+                    (got - want).abs() < 1e-9,
+                    "transaction {id}: {got} vs {want}"
+                );
+            }
         } else {
-            reference_rows = Some(rows);
+            assert!(!flagged.is_empty(), "the cut must flag some transactions");
+            reference = Some(flagged);
         }
         println!(
             "{:<34} {:>12.1} {:>10}   (chosen: {}{})",

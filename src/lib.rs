@@ -183,8 +183,9 @@
 //! output, or the final aggregate) — `sql` itself is prepare + execute, so
 //! cached plans are byte-identical to ad-hoc execution by construction. `serve::Server`
 //! keys prepared statements by a normalized fingerprint
-//! (`ir::fingerprint_query`) in an LRU **plan cache** with a companion
-//! **compiled-model cache**; both are invalidated by catalog/registry epoch
+//! (`ir::fingerprint_query`) in an LRU **plan cache**, its one store of
+//! prepared work (each entry also holds the SQL text a snapshot persists for
+//! warm-restart pre-warm); entries are invalidated by catalog/registry epoch
 //! counters, so re-registering a table or model can never serve a stale
 //! plan, and cold misses are **single-flight**: concurrent requests for one
 //! `(fingerprint, epoch)` elect a leader to prepare while the rest wait on a
@@ -232,8 +233,8 @@
 //!   shedding (`shed_wait_ms`, a typed `ServeError::Overloaded`) bound the
 //!   queue; `ServingReport` gains per-tenant submitted/completed/rejected
 //!   counts and `queue_wait_p95_us`.
-//! * **TinyLFU cache admission** (`serve::cache`). The plan/model caches
-//!   admit on a frequency sketch (a doorkeeper + 4-bit counting sketch with
+//! * **TinyLFU cache admission** (`serve::cache`). The plan cache
+//!   admits on a frequency sketch (a doorkeeper + 4-bit counting sketch with
 //!   periodic halving) so one burst of cold fingerprints cannot evict the
 //!   hot working set.
 //!
@@ -268,7 +269,7 @@
 //! each applied record to advance exactly one counter by exactly one, so a
 //! reordered or duplicated journal is rejected rather than replayed. Because
 //! epochs resume at their pre-crash values, the serving tier's epoch-keyed
-//! caches can never resurrect a stale compiled-model entry after a warm
+//! plan cache can never resurrect a stale prepared statement after a warm
 //! restart. `core::RavenSession::open_durable` wires recovery into a session
 //! (load snapshot → replay journal → recompute stats) and
 //! `serve::Server::open_durable` adds **cache pre-warm**: the snapshot's

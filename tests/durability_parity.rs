@@ -221,9 +221,9 @@ fn snapshot_and_journal_compose_bitwise() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Satellite 6 regression: epochs persist across snapshot + crash, so a warm
-/// restart can never hand out a pre-crash epoch for different content (which
-/// would let a stale compiled-model cache entry alias fresh state). Register,
+/// Epochs persist across snapshot + crash, so a warm restart can never hand
+/// out a pre-crash epoch for different content (which would let a stale
+/// plan-cache entry alias fresh state). Register,
 /// snapshot, register again, crash, restart: the epoch counter must resume at
 /// the pre-crash value and every new registration must move strictly beyond
 /// it.
@@ -320,5 +320,61 @@ fn server_warm_restart_prewarms_and_matches() {
         report.plan_cache_hits >= 1,
         "first post-restart request must hit the pre-warmed plan cache"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Automatic compaction persists the hot plans a registration found in the
+/// plan cache: the registration that crosses `compaction_threshold` clears
+/// the cache, so the compaction must take its plan list from the entries
+/// being cleared. After a restart every hot query is pre-warmed and serves
+/// the pre-restart results bit for bit.
+#[test]
+fn automatic_compaction_persists_hot_plans() {
+    let dir = tmp_dir("compaction");
+    let server_config = ServerConfig {
+        worker_threads: 2,
+        data_dir: Some(dir.clone()),
+        compaction_threshold: 3,
+        ..Default::default()
+    };
+    let queries: Vec<String> = [30, 40, 50, 60]
+        .iter()
+        .map(|age| QUERY.replace("d.age >= 30", &format!("d.age >= {age}")))
+        .collect();
+    let serve_all = |server: &Server| -> Vec<String> {
+        queries
+            .iter()
+            .map(|q| canonical(&server.sql(q).unwrap().batch))
+            .collect()
+    };
+    let before = {
+        let server = Server::open_durable(server_config.clone(), config()).unwrap();
+        server.register_table(patient_table(150, 61)).unwrap();
+        server.register_model(risk_pipeline(0.9)).unwrap();
+        serve_all(&server);
+        // the third journal record crosses the threshold: a background
+        // compaction snapshots the catalog with the hot plan list
+        server.register_table(patient_table(150, 62)).unwrap();
+        let results = serve_all(&server);
+        drop(server); // joins the compaction; no snapshot of its own
+        results
+    };
+
+    let server = Server::open_durable(server_config, config()).unwrap();
+    let report = server.report();
+    assert_eq!(
+        report.journal_records_replayed, 0,
+        "compaction emptied the journal"
+    );
+    assert_eq!(
+        report.prewarmed_plans,
+        queries.len() as u64,
+        "every hot query is pre-warmed"
+    );
+    assert_eq!(serve_all(&server), before);
+    let report = server.shutdown();
+    // the pre-warm's prepares are the only misses
+    assert_eq!(report.plan_cache_misses, queries.len() as u64);
+    assert_eq!(report.plan_cache_hits, queries.len() as u64);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -11,7 +11,8 @@ use proptest::prelude::*;
 use raven::prelude::*;
 use raven_columnar::{ColumnStatistics, Interval};
 use raven_ml::{
-    train_decision_tree_classifier, train_gradient_boosting, BoostingConfig, Matrix, TreeConfig,
+    train_decision_tree_classifier, train_gradient_boosting, BoostingConfig, Matrix, Tree,
+    TreeConfig,
 };
 use raven_relational::{evaluate, ExecutionContext, Executor, Optimizer};
 use raven_tensor::{compile_ensemble, Strategy as TensorStrategy};
@@ -35,6 +36,25 @@ fn feature_matrix(rows: &[Vec<f64>]) -> Matrix {
         data.extend_from_slice(r);
     }
     Matrix::new(rows.len(), cols, data).unwrap()
+}
+
+/// The rows plus model-directed probes: for every feature, the first four
+/// rows with that feature set to each of its split values (threshold, the
+/// next float above it, NaN) and to ±inf.
+fn probe_rows(rows: &[Vec<f64>], trees: &[Tree]) -> Vec<Vec<f64>> {
+    let mut out = rows.to_vec();
+    for f in 0..rows[0].len() {
+        let mut values = model_inputs::split_values(trees, f);
+        values.extend([f64::INFINITY, f64::NEG_INFINITY]);
+        for v in values {
+            for base in rows.iter().take(4) {
+                let mut r = base.clone();
+                r[f] = v;
+                out.push(r);
+            }
+        }
+    }
+    out
 }
 
 prop_compose! {
@@ -145,15 +165,15 @@ proptest! {
     }
 
     /// The GEMM and TreeTraversal tensor compilations agree with native
-    /// ensemble inference.
+    /// ensemble inference, on rows holding split values, NaN and ±inf.
     #[test]
     fn tensor_compilation_matches_native((rows, labels) in dataset()) {
-        let x = feature_matrix(&rows);
         let ensemble = train_gradient_boosting(
-            &x,
+            &feature_matrix(&rows),
             &labels,
             &BoostingConfig { n_estimators: 4, max_depth: 3, ..Default::default() },
         ).unwrap();
+        let x = feature_matrix(&probe_rows(&rows, &ensemble.trees));
         let native = ensemble.predict(&x).unwrap();
         for strategy in [TensorStrategy::Gemm, TensorStrategy::TreeTraversal] {
             let compiled = compile_ensemble(&ensemble, strategy).unwrap();
@@ -164,15 +184,16 @@ proptest! {
         }
     }
 
-    /// MLtoSQL translation of a trained tree agrees with the native runtime.
+    /// MLtoSQL translation of a trained tree agrees with the native runtime,
+    /// on rows holding split values, NaN and ±inf.
     #[test]
     fn mltosql_matches_native((rows, labels) in dataset()) {
-        let x = feature_matrix(&rows);
         let ensemble = train_decision_tree_classifier(
-            &x,
+            &feature_matrix(&rows),
             &labels,
             &TreeConfig { max_depth: 5, ..Default::default() },
         ).unwrap();
+        let x = feature_matrix(&probe_rows(&rows, &ensemble.trees));
         // build a batch with one column per feature named f0..fd
         let mut builder = TableBuilder::new("t");
         for j in 0..x.cols() {
